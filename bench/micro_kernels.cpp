@@ -5,8 +5,8 @@
 // scalar rows pin the SIMD toggle off, and *Avx2 rows (skipped unless built
 // with -DDGR_SIMD=ON) report the AVX2 kernel paths separately. The custom
 // main() additionally emits BENCH_micro_kernels.json (dgr-bench-v1: one row
-// per benchmark with ns/iter, plus fused-vs-unfused, AVX2-vs-scalar, and
-// SoA-vs-PR-1 speedup summaries) into the working dir.
+// per benchmark with ns/iter, plus fused-vs-reference and AVX2-vs-scalar
+// speedup summaries) into the working dir.
 
 #include <benchmark/benchmark.h>
 
@@ -76,7 +76,7 @@ struct SolverFixture {
   std::unique_ptr<dag::DagForest> forest;
   std::unique_ptr<core::DgrSolver> solver;
 
-  explicit SolverFixture(int nets, core::DgrConfig cfg = {}) {
+  explicit SolverFixture(int nets) {
     util::LogSilencer quiet;
     design::IspdLikeParams p;
     p.num_nets = nets;
@@ -86,7 +86,7 @@ struct SolverFixture {
     design = std::make_unique<design::Design>(design::generate_ispd_like(p, 9090));
     cap = design->capacities();
     forest = std::make_unique<dag::DagForest>(dag::DagForest::build(*design, {}));
-    solver = std::make_unique<core::DgrSolver>(*forest, cap, cfg);
+    solver = std::make_unique<core::DgrSolver>(*forest, cap);
   }
 };
 
@@ -200,57 +200,6 @@ BENCHMARK(BM_OverflowKernel)
 void BM_OverflowKernelAvx2(benchmark::State& state) { overflow_kernel_bench(state, true); }
 BENCHMARK(BM_OverflowKernelAvx2)->Args({1 << 14, 4, 1})->Args({1 << 16, 4, 1});
 
-/// Batched-tape execution: K copies of the same design through one shared
-/// tape + one Adam step, vs K solo train_steps (BM_DgrTrainStep measures the
-/// solo cost). Args: {nets, batch}. Items processed = designs stepped.
-void BM_BatchedTrainStep(benchmark::State& state) {
-  const auto nets = static_cast<int>(state.range(0));
-  const auto batch = static_cast<std::size_t>(state.range(1));
-  SolverFixture fx(nets);
-  core::BatchedDgrSolver solver(fx.solver->config());
-  for (std::size_t i = 0; i < batch; ++i) {
-    solver.add_design(*fx.forest, fx.cap, fx.solver->config().seed + i);
-  }
-  int iteration = 0;
-  for (auto _ : state) {
-    solver.train_step(iteration++);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-  state.counters["designs"] = static_cast<double>(batch);
-}
-BENCHMARK(BM_BatchedTrainStep)->Args({500, 4})->Unit(benchmark::kMillisecond);
-
-/// Fused vs unfused full training iteration at a given worker count.
-/// Args: {nets, workers, fused}. The unfused graph submits ~13 pool jobs per
-/// iteration; the fused one submits 2 multi-stage jobs, so the gap measures
-/// wakeup + tape-node overhead rather than arithmetic.
-void BM_DgrTrainStepFusion(benchmark::State& state) {
-  const auto nets = static_cast<int>(state.range(0));
-  const auto workers = static_cast<std::size_t>(state.range(1));
-  const bool fused = state.range(2) != 0;
-  util::set_worker_count(workers);
-  core::DgrConfig cfg;
-  cfg.fused_kernels = fused;
-  cfg.use_gumbel = false;  // noise generation is identical constant work in
-                           // both modes; omit it to isolate the kernels
-  SolverFixture fx(nets, cfg);
-  int iteration = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.solver->train_step(iteration++));
-  }
-  util::set_worker_count(0);
-  state.counters["paths"] = static_cast<double>(fx.forest->paths().size());
-  state.counters["workers"] = static_cast<double>(workers);
-  state.counters["fused"] = fused ? 1.0 : 0.0;
-}
-BENCHMARK(BM_DgrTrainStepFusion)
-    ->Args({2000, 1, 0})
-    ->Args({2000, 1, 1})
-    ->Args({2000, 4, 0})
-    ->Args({2000, 4, 1})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_ForestBuild(benchmark::State& state) {
   util::LogSilencer quiet;
   design::IspdLikeParams p;
@@ -337,26 +286,6 @@ double find_ns(const std::vector<std::pair<std::string, double>>& results,
   return 0.0;
 }
 
-/// ns/iter of the PR-1 fused-kernel tape (AoS nodes, std::function op log,
-/// fresh tape per iteration) — the baseline the arena/SoA refactor is
-/// measured against. Captured as the median of 5 repetitions run
-/// back-to-back with this bench on the same container (the box's throughput
-/// drifts ~25% over hours, so cross-session numbers are not comparable).
-/// Regenerate by checking out the pre-refactor tree and running this bench;
-/// the case names match 1:1.
-struct Pr1Baseline {
-  const char* name;
-  double ns;
-};
-constexpr Pr1Baseline kPr1Fused[] = {
-    {"BM_SegmentSoftmax/4096", 36739.0},
-    {"BM_SegmentSoftmax/65536", 1190568.0},
-    {"BM_SegmentSoftmax/1048576", 22771018.0},
-    {"BM_SelectionDemandKernel/2000/4/1", 480911.0},
-    {"BM_OverflowKernel/16384/4/1", 128871.0},
-    {"BM_OverflowKernel/65536/4/1", 547107.0},
-};
-
 void write_json(const std::vector<std::pair<std::string, double>>& results,
                 const char* path) {
   obs::BenchEmitter emitter("micro_kernels",
@@ -373,14 +302,7 @@ void write_json(const std::vector<std::pair<std::string, double>>& results,
     if (fused_ns <= 0.0) continue;
     emitter.summary("fused_speedup/" + base, unfused_ns / fused_ns);
   }
-  // Scalar-SoA speedup over the captured PR-1 fused baseline.
-  for (const Pr1Baseline& ref : kPr1Fused) {
-    const double now_ns = find_ns(results, ref.name);
-    if (now_ns <= 0.0) continue;
-    emitter.summary(std::string("soa_speedup_vs_pr1/") + ref.name, ref.ns / now_ns);
-  }
-  // AVX2 speedup over the scalar-SoA row of the same case (reported
-  // separately from the scalar-vs-PR-1 number; DGR_SIMD builds only).
+  // AVX2 speedup over the scalar row of the same case (DGR_SIMD builds only).
   for (const auto& [name, avx2_ns] : results) {
     const std::size_t pos = name.find("Avx2");
     if (pos == std::string::npos || avx2_ns <= 0.0) continue;

@@ -79,6 +79,9 @@ CellResult run_cell(int workers, int offered, int burst, double scale) {
                              "\"}";
     server.call(line);
   }
+  // The session loads above are requests too; snapshot after them so the
+  // cell reports only its route requests.
+  const Server::Accounting before = server.accounting();
 
   std::mutex mu;
   std::condition_variable cv;
@@ -110,16 +113,16 @@ CellResult run_cell(int workers, int offered, int burst, double scale) {
   }
   const double wall_seconds = wall.seconds();
 
-  const Server::Accounting acct = server.accounting();
+  const Server::Accounting after = server.accounting();
   server.shutdown(true);
 
   CellResult cell;
   cell.p50_ms = percentile(latencies, 0.50);
   cell.p99_ms = percentile(latencies, 0.99);
   cell.throughput = wall_seconds > 0.0 ? static_cast<double>(offered) / wall_seconds : 0.0;
-  cell.succeeded = acct.succeeded;
-  cell.rejected = acct.rejected;
-  cell.failed = acct.failed;
+  cell.succeeded = after.succeeded - before.succeeded;
+  cell.rejected = after.rejected - before.rejected;
+  cell.failed = after.failed - before.failed;
   return cell;
 }
 
@@ -141,6 +144,7 @@ int main() {
               "ok/rej/fail");
 
   double best_throughput = 0.0;
+  bool balanced = true;
   for (const int workers : worker_counts) {
     for (const int offered : loads) {
       const int burst = std::max(4, offered / 3);
@@ -154,6 +158,13 @@ int main() {
                   static_cast<long long>(cell.succeeded),
                   static_cast<long long>(cell.rejected),
                   static_cast<long long>(cell.failed));
+      // The daemon's invariant, per cell: every offered route request ends
+      // in exactly one of succeeded, rejected or failed.
+      if (cell.succeeded + cell.rejected + cell.failed != offered) {
+        std::fprintf(stderr, "%s: offered %d != succeeded + rejected + failed\n", name,
+                     offered);
+        balanced = false;
+      }
 
       emitter.add_row(name)
           .metric("workers", workers)
@@ -175,5 +186,5 @@ int main() {
     return 1;
   }
   std::printf("\nmax throughput: %.2f req/s\n", best_throughput);
-  return 0;
+  return balanced ? 0 : 1;
 }

@@ -106,23 +106,14 @@ void Tape::push_record(const OpRecord& record) {
 }
 
 void Tape::backward(NodeId root) {
-  const NodeId roots[1] = {root};
-  backward_multi(roots);
-}
-
-void Tape::backward_multi(std::span<const NodeId> roots) {
-  for (const NodeId root : roots) {
-    if (node_size_[check(root)] != 1) {
-      throw std::invalid_argument("Tape::backward: root must be scalar");
-    }
+  if (node_size_[check(root)] != 1) {
+    throw std::invalid_argument("Tape::backward: root must be scalar");
   }
   // Lazy grad zeroing: the double arena is untouched by the forward pass, so
   // a forward-only tape never pays for it; one contiguous memset here beats
   // the per-node zero fills of the old AoS layout.
   std::memset(grads_.data(), 0, arena_used_ * sizeof(double));
-  for (const NodeId root : roots) {
-    grads_[node_offset_[static_cast<std::size_t>(root.idx)]] = 1.0;
-  }
+  grads_[node_offset_[static_cast<std::size_t>(root.idx)]] = 1.0;
   for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
     detail::run_backward(*this, *it);
   }

@@ -65,13 +65,6 @@ class Tape {
   /// reverse order.
   void backward(NodeId root);
 
-  /// Multi-root backward for batched-tape execution: seeds every root (all
-  /// scalars) with gradient 1 and replays the op log once. Intended for N
-  /// independent designs recorded into one tape — their subgraphs are
-  /// disjoint, so one replay yields exactly the gradients N separate
-  /// backward() calls would have produced.
-  void backward_multi(std::span<const NodeId> roots);
-
   /// Rewinds the tape to empty, keeping arena/pool/record capacity. After
   /// the first reset the tape is "warm": any further capacity growth bumps
   /// the obs.ad.arena_regrowth counter metric.

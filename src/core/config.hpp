@@ -63,17 +63,6 @@ struct DgrConfig {
   /// daemon's deadline watchdog sets it from another thread); must outlive
   /// train(). nullptr = no external cancellation.
   const std::atomic<bool>* cancel_flag = nullptr;
-
-  /// Use the fused softmax→demand and overflow+sum tape kernels (single
-  /// pool submission per chain). Off = the original one-op-per-primitive
-  /// graph; kept for A/B benchmarking and as a reference implementation.
-  bool fused_kernels = true;
-
-  /// Reuse one arena-backed tape across train_step calls (Tape::reset keeps
-  /// capacity → zero-malloc steady state, watched by the ad.arena_regrowth
-  /// counter). Off = a fresh tape per iteration, kept for A/B benchmarking;
-  /// results are bitwise identical either way.
-  bool reuse_tape = true;
 };
 
 /// One-line description for logs/bench labels.

@@ -4,34 +4,26 @@
 // passes top_p, then commit subnets in decreasing-confidence order picking
 // the member of the top-p set with the least *true* incremental cost against
 // the capacity left by already-committed paths.
-//
-// The body lives in detail::extract_solution so BatchedDgrSolver extracts
-// per-design solutions through the same code path.
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
 
-#include "core/forward.hpp"
 #include "core/solver.hpp"
 #include "obs/trace.hpp"
 
 namespace dgr::core {
 
-namespace detail {
-
-eval::RouteSolution extract_solution(const dag::DagForest& forest,
-                                     const Relaxation& relax,
-                                     const std::vector<float>& capacities,
-                                     const DgrConfig& config, float via_cost_scale,
-                                     const std::vector<float>& q,
-                                     const std::vector<float>& p) {
+eval::RouteSolution DgrSolver::extract() const {
   DGR_TRACE_SCOPE("core.extract");
-  const auto& trees = forest.trees();
-  const auto& subnets = forest.subnets();
-  const auto& paths = forest.paths();
-  const auto& net_offsets = relax.tree_group_offsets;
-  const std::size_t num_nets = forest.net_count();
+  const float t_final = temperature_at(config_.iterations - 1);
+  const std::vector<float> q = tree_probs(t_final);
+  const std::vector<float> p = path_probs(t_final);
+  const auto& trees = forest_.trees();
+  const auto& subnets = forest_.subnets();
+  const auto& paths = forest_.paths();
+  const auto& net_offsets = relax_.tree_group_offsets;
+  const std::size_t num_nets = forest_.net_count();
 
   // 1. Argmax tree per net.
   std::vector<std::int32_t> chosen_tree(num_nets);
@@ -68,9 +60,9 @@ eval::RouteSolution extract_solution(const dag::DagForest& forest,
                    });
 
   // 3. Greedy commitment with true residual capacities.
-  std::vector<double> demand(capacities.size(), 0.0);
-  const auto& inc_edges = forest.inc_edges();
-  const auto& inc_weights = forest.inc_weights();
+  std::vector<double> demand(capacities_.size(), 0.0);
+  const auto& inc_edges = forest_.inc_edges();
+  const auto& inc_weights = forest_.inc_weights();
 
   auto marginal_cost = [&](std::size_t path_idx) -> double {
     const dag::PathCandidate& pc = paths[path_idx];
@@ -78,12 +70,12 @@ eval::RouteSolution extract_solution(const dag::DagForest& forest,
     for (std::uint32_t k = pc.inc_begin; k < pc.inc_end; ++k) {
       const auto e = static_cast<std::size_t>(inc_edges[k]);
       const double w = inc_weights[k];
-      const double cap = capacities[e];
+      const double cap = capacities_[e];
       over += std::max(0.0, demand[e] + w - cap) - std::max(0.0, demand[e] - cap);
     }
-    return static_cast<double>(config.weight_overflow) * over +
-           static_cast<double>(config.weight_wirelength) * pc.wirelength +
-           static_cast<double>(config.weight_via) * via_cost_scale * pc.turns;
+    return static_cast<double>(config_.weight_overflow) * over +
+           static_cast<double>(config_.weight_wirelength) * pc.wirelength +
+           static_cast<double>(config_.weight_via) * via_cost_scale_ * pc.turns;
   };
 
   std::vector<std::int32_t> chosen_path(subnets.size(), -1);
@@ -101,7 +93,7 @@ eval::RouteSolution extract_solution(const dag::DagForest& forest,
     std::size_t keep = 0;
     for (; keep < order.size(); ++keep) {
       cum += p[order[keep]];
-      if (cum > config.top_p) {
+      if (cum > config_.top_p) {
         ++keep;
         break;
       }
@@ -126,27 +118,18 @@ eval::RouteSolution extract_solution(const dag::DagForest& forest,
 
   // 4. Materialise the RouteSolution.
   eval::RouteSolution sol;
-  sol.design = &forest.design();
+  sol.design = &forest_.design();
   sol.nets.resize(num_nets);
   for (std::size_t n = 0; n < num_nets; ++n) {
     eval::NetRoute& route = sol.nets[n];
-    route.design_net = forest.design_net(n);
+    route.design_net = forest_.design_net(n);
     const dag::TreeCandidate& tc = trees[static_cast<std::size_t>(chosen_tree[n])];
     for (std::int32_t s = tc.subnet_begin; s < tc.subnet_end; ++s) {
       const std::int32_t pi = chosen_path[static_cast<std::size_t>(s)];
-      route.paths.push_back(forest.path_geometry(static_cast<std::size_t>(pi)));
+      route.paths.push_back(forest_.path_geometry(static_cast<std::size_t>(pi)));
     }
   }
   return sol;
-}
-
-}  // namespace detail
-
-eval::RouteSolution DgrSolver::extract() const {
-  const float t_final = temperature_at(config_.iterations - 1);
-  return detail::extract_solution(forest_, relax_, capacities_, config_,
-                                  via_cost_scale_, tree_probs(t_final),
-                                  path_probs(t_final));
 }
 
 }  // namespace dgr::core

@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/forward.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
@@ -36,16 +35,49 @@ DgrSolver::DgrSolver(const dag::DagForest& forest, std::vector<float> capacities
 }
 
 float DgrSolver::temperature_at(int iteration) const {
-  return detail::temperature_schedule(config_, iteration);
+  const int decays = config_.temperature_interval > 0
+                         ? iteration / config_.temperature_interval
+                         : 0;
+  // Floor the schedule: at extreme iteration counts (serve clients may ask
+  // for millions) the decayed product underflows float to exactly 0, which
+  // the softmax ops reject. A tiny positive temperature is numerically an
+  // argmax and keeps every downstream op legal.
+  constexpr float kMinTemperature = 1e-6f;
+  return std::max(config_.initial_temperature *
+                      std::pow(config_.temperature_decay, static_cast<float>(decays)),
+                  kMinTemperature);
 }
 
 DgrSolver::Forward DgrSolver::build_forward(ad::Tape& tape, float temperature,
                                             const std::vector<float>* path_noise,
                                             const std::vector<float>* tree_noise) const {
-  const detail::ForwardGraph fw =
-      detail::build_forward_graph(tape, relax_, capacities_, params_.data(), config_,
-                                  via_cost_scale_, temperature, path_noise, tree_noise);
-  return Forward{fw.cost, fw.path_logits, fw.tree_logits, fw.breakdown};
+  Forward fw;
+  fw.path_logits = tape.input(params_.data(), relax_.path_count());
+  fw.tree_logits = tape.input(params_.data() + relax_.path_count(), relax_.tree_count());
+
+  // Gumbel-softmax over both groups -> coupled selection mass eff_i =
+  // q_tree(i) * p_i -> expected demand (Eq. 10) as one fused job, then the
+  // Eq. 9 overflow Σ_e f(d_e - cap_e) as a single activation+reduction pass.
+  const ad::FusedSelectionDemand sel = ad::fused_softmax_demand(
+      tape, fw.path_logits, fw.tree_logits, relax_.path_group_offsets,
+      relax_.tree_group_offsets, relax_.path_tree, relax_.tree_path_offsets,
+      relax_.incidence, temperature, path_noise, tree_noise);
+  const ad::NodeId overflow = ad::fused_overflow_cost(
+      tape, sel.demand, capacities_, config_.activation, config_.activation_alpha);
+
+  // wirelength_cost = Σ eff_i WL_i (Eq. 11); via_cost = √L Σ eff_i TP_i (Eq. 12).
+  const ad::NodeId wl = ad::weighted_sum(tape, sel.eff, relax_.wirelength);
+  const ad::NodeId via = ad::weighted_sum(tape, sel.eff, relax_.turns);
+
+  fw.cost = ad::combine(tape, {overflow, via, wl},
+                        {config_.weight_overflow, config_.weight_via * via_cost_scale_,
+                         config_.weight_wirelength});
+
+  fw.breakdown.overflow = tape.value(overflow)[0];
+  fw.breakdown.wirelength = tape.value(wl)[0];
+  fw.breakdown.via = static_cast<double>(via_cost_scale_) * tape.value(via)[0];
+  fw.breakdown.total = tape.value(fw.cost)[0];
+  return fw;
 }
 
 double DgrSolver::train_step(int iteration) {
@@ -68,21 +100,18 @@ double DgrSolver::train_step(int iteration) {
   // Steady-state iterations re-record the same graph shape into the reused
   // member tape, so after the first step neither the tape nor the noise /
   // gradient buffers allocate (the ad.arena_regrowth counter proves it).
-  // reuse_tape=false reverts to a fresh tape per step for A/B measurement.
-  ad::Tape fresh;
-  ad::Tape& tape = config_.reuse_tape ? tape_ : fresh;
-  if (config_.reuse_tape) tape_.reset();
-  const Forward fw = build_forward(tape, t, config_.use_gumbel ? &path_noise_ : nullptr,
+  tape_.reset();
+  const Forward fw = build_forward(tape_, t, config_.use_gumbel ? &path_noise_ : nullptr,
                                    config_.use_gumbel ? &tree_noise_ : nullptr);
-  tape.backward(fw.cost);
-  peak_tape_bytes_ = std::max(peak_tape_bytes_, tape.memory_bytes());
+  tape_.backward(fw.cost);
+  peak_tape_bytes_ = std::max(peak_tape_bytes_, tape_.memory_bytes());
 
   // Concatenate gradients and take one Adam step over all logits.
   std::vector<double>& grads = grads_;
   grads.resize(params_.size());
   {
-    const std::span<const double> gp = tape.grad(fw.path_logits);
-    const std::span<const double> gt = tape.grad(fw.tree_logits);
+    const std::span<const double> gp = tape_.grad(fw.path_logits);
+    const std::span<const double> gt = tape_.grad(fw.tree_logits);
     std::copy(gp.begin(), gp.end(), grads.begin());
     std::copy(gt.begin(), gt.end(), grads.begin() + static_cast<std::ptrdiff_t>(np));
   }

@@ -122,10 +122,10 @@ class DgrSolver {
   std::vector<float> params_;  ///< [path logits | tree logits]
   ad::Adam adam_;
   util::Rng rng_;
-  /// Reused across train_step calls (config.reuse_tape): reset() keeps the
-  /// arena capacity, so steady-state iterations record the same graph with
-  /// zero heap allocation. The noise/grad buffers below reach a fixed size
-  /// after the first step for the same reason.
+  /// Reused across train_step calls: reset() keeps the arena capacity, so
+  /// steady-state iterations record the same graph with zero heap
+  /// allocation. The noise/grad buffers below reach a fixed size after the
+  /// first step for the same reason.
   ad::Tape tape_;
   std::vector<float> path_noise_;
   std::vector<float> tree_noise_;

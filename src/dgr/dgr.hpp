@@ -16,7 +16,6 @@
 #include "ad/ops.hpp"
 #include "ad/simd.hpp"
 #include "ad/tape.hpp"
-#include "core/batch.hpp"
 #include "core/config.hpp"
 #include "core/relaxation.hpp"
 #include "core/solver.hpp"

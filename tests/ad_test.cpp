@@ -2,12 +2,16 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "ad/adam.hpp"
 #include "ad/gradcheck.hpp"
 #include "ad/ops.hpp"
 #include "ad/simd.hpp"
 #include "ad/tape.hpp"
+#include "core/relaxation.hpp"
+#include "design/generator.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace dgr::ad {
@@ -767,7 +771,7 @@ TEST(Spmv, EmptyRowsProduceZero) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena reuse and multi-root backward
+// Arena reuse
 // ---------------------------------------------------------------------------
 
 TEST(Tape, ResetKeepsCapacityAndReproducesValues) {
@@ -794,38 +798,65 @@ TEST(Tape, ResetKeepsCapacityAndReproducesValues) {
     // Re-recording an identical graph must never regrow the arenas.
     EXPECT_EQ(tape.memory_bytes(), bytes_after_first) << "round " << round;
   }
-}
 
-TEST(Tape, BackwardMultiMatchesSeparateBackwards) {
-  // Two disjoint subgraphs, one reverse replay: gradients must equal what
-  // two dedicated tapes produce. This is the batched-solver substrate.
-  util::Rng rng(7);
-  const std::vector<float> a0 = random_vec(rng, 64);
-  const std::vector<float> b0 = random_vec(rng, 48);
-  const std::vector<std::int32_t> offa{0, 32, 64};
-  const std::vector<std::int32_t> offb{0, 48};
+  // The solver's per-iteration graph (Gumbel-noised fused selection-demand
+  // plus fused overflow) re-recorded into a reset tape must reproduce the
+  // first recording bit for bit, and every worker count must agree. The
+  // design is big enough for the kernels' parallel loops to split.
+  design::IspdLikeParams params;
+  params.num_nets = 400;
+  params.grid_w = params.grid_h = 24;
+  const design::Design design = design::generate_ispd_like(params, 41);
+  const std::vector<float> cap = design.capacities();
+  const dag::DagForest forest = dag::DagForest::build(design, {});
+  const core::Relaxation r = core::Relaxation::build(forest);
+  const std::vector<float> xp = random_vec(rng, r.path_count());
+  const std::vector<float> xq = random_vec(rng, r.tree_count());
+  std::vector<float> noise_p(xp.size()), noise_q(xq.size());
+  for (float& g : noise_p) g = static_cast<float>(rng.gumbel());
+  for (float& g : noise_q) g = static_cast<float>(rng.gumbel());
 
-  Tape shared;
-  const NodeId ax = shared.input(a0);
-  const NodeId ac = weighted_sum(shared, segment_softmax(shared, ax, offa, 1.3f));
-  const NodeId bx = shared.input(b0);
-  const NodeId bc = weighted_sum(shared, segment_softmax(shared, bx, offb, 0.9f));
-  const NodeId roots[] = {ac, bc};
-  shared.backward_multi(roots);
+  struct Recording {
+    std::vector<float> demand;
+    float cost = 0.0f;
+    std::vector<double> grad_p, grad_q;
+  };
+  auto record_fused = [&](Tape& fused_tape) {
+    const NodeId pl = fused_tape.input(xp);
+    const NodeId tl = fused_tape.input(xq);
+    const FusedSelectionDemand sel = fused_softmax_demand(
+        fused_tape, pl, tl, r.path_group_offsets, r.tree_group_offsets, r.path_tree,
+        r.tree_path_offsets, r.incidence, 0.6f, &noise_p, &noise_q);
+    const NodeId cost = fused_overflow_cost(fused_tape, sel.demand, cap,
+                                            Activation::kSigmoid, 1.0f, /*block=*/256);
+    fused_tape.backward(cost);
+    const std::span<const float> demand = fused_tape.value(sel.demand);
+    return Recording{{demand.begin(), demand.end()},
+                     fused_tape.value(cost)[0],
+                     {fused_tape.grad(pl).begin(), fused_tape.grad(pl).end()},
+                     {fused_tape.grad(tl).begin(), fused_tape.grad(tl).end()}};
+  };
+  auto expect_equal = [](const Recording& a, const Recording& b, const std::string& where) {
+    EXPECT_EQ(a.demand, b.demand) << where;
+    EXPECT_EQ(a.cost, b.cost) << where;
+    EXPECT_EQ(a.grad_p, b.grad_p) << where;
+    EXPECT_EQ(a.grad_q, b.grad_q) << where;
+  };
 
-  Tape solo_a;
-  const NodeId sax = solo_a.input(a0);
-  solo_a.backward(weighted_sum(solo_a, segment_softmax(solo_a, sax, offa, 1.3f)));
-  Tape solo_b;
-  const NodeId sbx = solo_b.input(b0);
-  solo_b.backward(weighted_sum(solo_b, segment_softmax(solo_b, sbx, offb, 0.9f)));
-
-  for (std::size_t i = 0; i < a0.size(); ++i) {
-    EXPECT_EQ(shared.grad(ax)[i], solo_a.grad(sax)[i]) << i;
+  Recording reference;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    util::set_worker_count(workers);
+    Tape fused_tape;
+    const Recording fused_first = record_fused(fused_tape);
+    if (workers == 1) reference = fused_first;
+    expect_equal(fused_first, reference, "workers=" + std::to_string(workers));
+    for (int round = 0; round < 2; ++round) {
+      fused_tape.reset();
+      expect_equal(record_fused(fused_tape), fused_first,
+                   "workers=" + std::to_string(workers) + " round=" + std::to_string(round));
+    }
   }
-  for (std::size_t i = 0; i < b0.size(); ++i) {
-    EXPECT_EQ(shared.grad(bx)[i], solo_b.grad(sbx)[i]) << i;
-  }
+  util::set_worker_count(0);
 }
 
 // ---------------------------------------------------------------------------

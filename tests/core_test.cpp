@@ -5,7 +5,6 @@
 
 #include "ad/gradcheck.hpp"
 #include "ad/simd.hpp"
-#include "core/batch.hpp"
 #include "core/solver.hpp"
 #include "obs/metrics.hpp"
 #include "design/generator.hpp"
@@ -207,6 +206,44 @@ TEST(DgrSolver, GumbelOffIsPlainSoftmaxDescent) {
   EXPECT_TRUE(sol.connects_all_pins());
 }
 
+/// The solver's objective rebuilt from the primitive ops, one op per step of
+/// Fig. 4 (no fused kernels, no noise): the reference the fused forward is
+/// checked against.
+struct ReferenceGraph {
+  ad::NodeId path_logits, tree_logits;
+  ad::NodeId overflow, via, wirelength, total;
+};
+
+ReferenceGraph build_reference_graph(ad::Tape& tape, const DgrSolver& solver,
+                                     const std::vector<float>& params, float via_cost_scale,
+                                     float temperature) {
+  const DgrConfig& config = solver.config();
+  const Relaxation& r = solver.relaxation();
+  const std::size_t np = solver.path_logit_count();
+  ReferenceGraph g;
+  g.path_logits = tape.input(params.data(), np);
+  g.tree_logits = tape.input(params.data() + np, solver.tree_logit_count());
+  const ad::NodeId p =
+      ad::segment_softmax(tape, g.path_logits, r.path_group_offsets, temperature);
+  const ad::NodeId q =
+      ad::segment_softmax(tape, g.tree_logits, r.tree_group_offsets, temperature);
+  const ad::NodeId eff = ad::gather_mul(tape, q, r.path_tree, p);
+  const ad::NodeId d = ad::spmv(tape, eff, r.incidence);
+  const ad::NodeId slack = ad::sub_const(tape, d, solver.capacities());
+  g.overflow = ad::weighted_sum(
+      tape, ad::apply_activation(tape, slack, config.activation, config.activation_alpha));
+  g.via = ad::weighted_sum(tape, eff, r.turns);
+  g.wirelength = ad::weighted_sum(tape, eff, r.wirelength);
+  g.total = ad::combine(tape, {g.overflow, g.via, g.wirelength},
+                        {config.weight_overflow, config.weight_via * via_cost_scale,
+                         config.weight_wirelength});
+  return g;
+}
+
+float via_scale(const Design& design) {
+  return std::sqrt(static_cast<float>(design.grid().layer_count()));
+}
+
 TEST(DgrSolver, AnalyticGradientMatchesFiniteDifferences) {
   // End-to-end gradcheck of the real forward pass on the conflict fixture.
   // Scalar mode: central differences at h=1e-3 cannot resolve the vector
@@ -227,29 +264,13 @@ TEST(DgrSolver, AnalyticGradientMatchesFiniteDifferences) {
 
   // Analytic gradient via one no-noise backward pass.
   ad::Tape tape;
+  const ReferenceGraph g =
+      build_reference_graph(tape, solver, params, via_scale(fx.design()), 1.0f);
+  tape.backward(g.total);
   const std::size_t np = solver.path_logit_count();
-  const std::size_t nt = solver.tree_logit_count();
-  const ad::NodeId pl = tape.input(params.data(), np);
-  const ad::NodeId tl = tape.input(params.data() + np, nt);
-  const Relaxation& r = solver.relaxation();
-  const ad::NodeId p = ad::segment_softmax(tape, pl, r.path_group_offsets, 1.0f);
-  const ad::NodeId q = ad::segment_softmax(tape, tl, r.tree_group_offsets, 1.0f);
-  const ad::NodeId eff = ad::gather_mul(tape, q, r.path_tree, p);
-  const ad::NodeId d = ad::spmv(tape, eff, r.incidence);
-  const ad::NodeId slack = ad::sub_const(tape, d, solver.capacities());
-  const ad::NodeId over =
-      ad::apply_activation(tape, slack, config.activation, config.activation_alpha);
-  const ad::NodeId total = ad::combine(
-      tape,
-      {ad::weighted_sum(tape, over), ad::weighted_sum(tape, eff, r.turns),
-       ad::weighted_sum(tape, eff, r.wirelength)},
-      {config.weight_overflow,
-       config.weight_via * std::sqrt(static_cast<float>(fx.design().grid().layer_count())),
-       config.weight_wirelength});
-  tape.backward(total);
-  std::vector<double> grad(np + nt);
-  std::copy(tape.grad(pl).begin(), tape.grad(pl).end(), grad.begin());
-  std::copy(tape.grad(tl).begin(), tape.grad(tl).end(),
+  std::vector<double> grad(np + solver.tree_logit_count());
+  std::copy(tape.grad(g.path_logits).begin(), tape.grad(g.path_logits).end(), grad.begin());
+  std::copy(tape.grad(g.tree_logits).begin(), tape.grad(g.tree_logits).end(),
             grad.begin() + static_cast<std::ptrdiff_t>(np));
 
   const auto result = ad::grad_check(with_params, params, grad, 1e-3, 5e-3, 2e-2);
@@ -398,26 +419,23 @@ TEST(DgrSolver, BitwiseDeterministicAcrossWorkerCounts) {
 }
 
 TEST(DgrSolver, FusedAndUnfusedForwardAgree) {
-  // The fused kernels must compute the same objective as the reference graph
-  // (only the overflow reduction order differs: block partials vs serial).
+  // The solver's fused kernels must compute the same objective as the
+  // primitive-op reference graph (only the overflow reduction order differs:
+  // block partials vs serial).
   auto fx = ConflictFixture::make();
-  DgrConfig fused = fast_config();
-  fused.fused_kernels = true;
-  DgrConfig unfused = fused;
-  unfused.fused_kernels = false;
-  DgrSolver a(fx.forest(), fx.cap, fused);
-  DgrSolver b(fx.forest(), fx.cap, unfused);
-  const CostBreakdown ca = a.evaluate(1.0f);
-  const CostBreakdown cb = b.evaluate(1.0f);
-  EXPECT_NEAR(ca.total, cb.total, 1e-5 + 1e-6 * std::abs(cb.total));
-  EXPECT_NEAR(ca.overflow, cb.overflow, 1e-5 + 1e-6 * std::abs(cb.overflow));
-  EXPECT_NEAR(ca.wirelength, cb.wirelength, 1e-5);
-  EXPECT_NEAR(ca.via, cb.via, 1e-5);
-  // And both modes train to the same qualitative solution.
-  a.train();
-  b.train();
-  EXPECT_TRUE(a.extract().connects_all_pins());
-  EXPECT_TRUE(b.extract().connects_all_pins());
+  DgrSolver solver(fx.forest(), fx.cap, fast_config());
+  for (const float t : {1.0f, 0.3f}) {
+    const CostBreakdown fused = solver.evaluate(t);
+    ad::Tape tape;
+    const ReferenceGraph g =
+        build_reference_graph(tape, solver, solver.logits(), via_scale(fx.design()), t);
+    const double total = tape.value(g.total)[0];
+    const double overflow = tape.value(g.overflow)[0];
+    EXPECT_NEAR(fused.total, total, 1e-5 + 1e-6 * std::abs(total)) << t;
+    EXPECT_NEAR(fused.overflow, overflow, 1e-5 + 1e-6 * std::abs(overflow)) << t;
+    EXPECT_NEAR(fused.wirelength, tape.value(g.wirelength)[0], 1e-5) << t;
+    EXPECT_NEAR(fused.via, via_scale(fx.design()) * tape.value(g.via)[0], 1e-5) << t;
+  }
 }
 
 TEST(DgrSolver, AdaptiveForestTrainsAndExtracts) {
@@ -440,32 +458,37 @@ TEST(DgrSolver, AdaptiveForestTrainsAndExtracts) {
 }
 
 TEST(DgrSolver, ReusedTapeMatchesFreshTapeAcrossWorkerCounts) {
-  // The arena-reuse contract: resetting and re-recording into the same tape
-  // must reproduce a fresh-tape-per-iteration solve bit for bit, at every
-  // worker count. This is what licenses reuse_tape as the default.
+  // The arena-reuse contract: a solver re-records every step into its reset
+  // member tape. At each iteration, a brand-new solver (fresh tape) handed
+  // the same logits must see the same cost, breakdown and gradient norm bit
+  // for bit, at every worker count. The Gumbel noise is a pure function of
+  // (seed, iteration), so both solvers draw the same sample.
   design::IspdLikeParams p;
   p.num_nets = 60;
   p.grid_w = p.grid_h = 14;
   const design::Design d = design::generate_ispd_like(p, 7);
   const auto cap = d.capacities();
   const dag::DagForest forest = dag::DagForest::build(d, {});
-  DgrConfig reused = fast_config();
-  reused.iterations = 30;
-  reused.reuse_tape = true;
-  DgrConfig fresh = reused;
-  fresh.reuse_tape = false;
+  DgrConfig config = fast_config();
+  config.iterations = 30;
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const TrainOutcome a = train_at_workers(forest, cap, reused, workers);
-    const TrainOutcome b = train_at_workers(forest, cap, fresh, workers);
-    ASSERT_EQ(a.cost_history.size(), b.cost_history.size()) << workers;
-    for (std::size_t i = 0; i < a.cost_history.size(); ++i) {
-      EXPECT_EQ(a.cost_history[i], b.cost_history[i])
-          << "workers=" << workers << " iter=" << i;
-    }
-    ASSERT_EQ(a.logits.size(), b.logits.size()) << workers;
-    for (std::size_t i = 0; i < a.logits.size(); ++i) {
-      EXPECT_EQ(a.logits[i], b.logits[i]) << "workers=" << workers << " logit=" << i;
+    util::set_worker_count(workers);
+    DgrSolver reused(forest, cap, config);
+    for (int it = 0; it < config.iterations; ++it) {
+      DgrSolver fresh(forest, cap, config);
+      fresh.logits() = reused.logits();
+      const double want = fresh.train_step(it);
+      const double got = reused.train_step(it);
+      EXPECT_EQ(got, want) << "workers=" << workers << " iter=" << it;
+      EXPECT_EQ(reused.last_grad_norm(), fresh.last_grad_norm())
+          << "workers=" << workers << " iter=" << it;
+      EXPECT_EQ(reused.last_breakdown().overflow, fresh.last_breakdown().overflow)
+          << "workers=" << workers << " iter=" << it;
+      EXPECT_EQ(reused.last_breakdown().wirelength, fresh.last_breakdown().wirelength)
+          << "workers=" << workers << " iter=" << it;
+      EXPECT_EQ(reused.last_breakdown().via, fresh.last_breakdown().via)
+          << "workers=" << workers << " iter=" << it;
     }
   }
   util::set_worker_count(0);
@@ -487,108 +510,6 @@ TEST(DgrSolver, ArenaRegrowthIsZeroAfterWarmup) {
   regrowth.reset();  // warm-up over: from here on, any regrowth is a bug
   for (int i = 2; i < 50; ++i) solver.train_step(i);
   EXPECT_EQ(regrowth.value(), 0);
-}
-
-TEST(BatchedDgrSolver, MatchesSoloSolversBitwise) {
-  // One shared tape, N designs, one backward_multi, one Adam step over the
-  // concatenated parameters — and every per-design trajectory must still be
-  // bitwise-identical to a solo DgrSolver with that design's seed.
-  design::IspdLikeParams p1;
-  p1.num_nets = 40;
-  p1.grid_w = p1.grid_h = 12;
-  const design::Design d1 = design::generate_ispd_like(p1, 21);
-  design::IspdLikeParams p2;
-  p2.num_nets = 25;
-  p2.grid_w = p2.grid_h = 10;
-  const design::Design d2 = design::generate_ispd_like(p2, 22);
-  const dag::DagForest f1 = dag::DagForest::build(d1, {});
-  const dag::DagForest f2 = dag::DagForest::build(d2, {});
-
-  DgrConfig config = fast_config();
-  config.iterations = 25;
-
-  BatchedDgrSolver batch(config);
-  ASSERT_EQ(batch.add_design(f1, d1.capacities(), 101), 0u);
-  ASSERT_EQ(batch.add_design(f2, d2.capacities(), 202), 1u);
-  batch.train();
-
-  const dag::DagForest* forests[] = {&f1, &f2};
-  const design::Design* designs[] = {&d1, &d2};
-  const std::uint64_t seeds[] = {101, 202};
-  for (std::size_t i = 0; i < 2; ++i) {
-    DgrConfig solo_config = config;
-    solo_config.seed = seeds[i];
-    DgrSolver solo(*forests[i], designs[i]->capacities(), solo_config);
-    for (int it = 0; it < config.iterations; ++it) solo.train_step(it);
-
-    const std::span<const float> bp = batch.params(i);
-    const std::vector<float>& sp = solo.logits();
-    ASSERT_EQ(bp.size(), sp.size()) << "design " << i;
-    for (std::size_t k = 0; k < sp.size(); ++k) {
-      EXPECT_EQ(bp[k], sp[k]) << "design " << i << " param " << k;
-    }
-    // Final-step gradients must agree too (the grads feed warm-start reuse).
-    EXPECT_EQ(batch.last_breakdown(i).total, solo.last_breakdown().total)
-        << "design " << i;
-    // And the discrete solutions they induce.
-    const eval::RouteSolution bs = batch.extract(i);
-    const eval::RouteSolution ss = solo.extract();
-    ASSERT_EQ(bs.nets.size(), ss.nets.size()) << "design " << i;
-    for (std::size_t n = 0; n < ss.nets.size(); ++n) {
-      ASSERT_EQ(bs.nets[n].paths.size(), ss.nets[n].paths.size())
-          << "design " << i << " net " << n;
-      for (std::size_t k = 0; k < ss.nets[n].paths.size(); ++k) {
-        EXPECT_EQ(bs.nets[n].paths[k].waypoints, ss.nets[n].paths[k].waypoints)
-            << "design " << i << " net " << n << " path " << k;
-      }
-    }
-  }
-}
-
-TEST(BatchedDgrSolver, GradientsMatchPerDesignSoloTapes) {
-  // Single-step variant pinning the backward_multi contract directly: the
-  // gradient slab each design reads out of the shared grad arena equals the
-  // gradient a dedicated solo tape computes for it.
-  auto fx = ConflictFixture::make();
-  DgrConfig config = fast_config();
-  config.iterations = 1;
-
-  BatchedDgrSolver batch(config);
-  batch.add_design(fx.forest(), fx.cap, config.seed);
-  batch.add_design(fx.forest(), fx.cap, 77);
-  batch.train_step(0);
-
-  const std::uint64_t seeds[] = {config.seed, 77};
-  for (std::size_t i = 0; i < 2; ++i) {
-    DgrConfig solo_config = config;
-    solo_config.seed = seeds[i];
-    DgrSolver solo(fx.forest(), fx.cap, solo_config);
-    solo.train_step(0);
-    // Solo applied its Adam update; re-derive its step-0 gradient from the
-    // batched slab sizes instead: compare post-step parameters, which are a
-    // pure function of (init, grad) under elementwise Adam.
-    const std::span<const float> bp = batch.params(i);
-    const std::vector<float>& sp = solo.logits();
-    ASSERT_EQ(bp.size(), sp.size());
-    for (std::size_t k = 0; k < sp.size(); ++k) {
-      EXPECT_EQ(bp[k], sp[k]) << "design " << i << " param " << k;
-    }
-    const std::span<const double> bg = batch.last_grads(i);
-    ASSERT_EQ(bg.size(), sp.size());
-    for (std::size_t k = 0; k < bg.size(); ++k) {
-      EXPECT_TRUE(std::isfinite(bg[k])) << "design " << i << " grad " << k;
-    }
-  }
-}
-
-TEST(BatchedDgrSolver, RejectsLateAddAndBadIndices) {
-  auto fx = ConflictFixture::make();
-  DgrConfig config = fast_config();
-  BatchedDgrSolver batch(config);
-  batch.add_design(fx.forest(), fx.cap, 1);
-  batch.train_step(0);
-  EXPECT_THROW(batch.add_design(fx.forest(), fx.cap, 2), std::logic_error);
-  EXPECT_THROW(batch.params(5), std::out_of_range);
 }
 
 }  // namespace
