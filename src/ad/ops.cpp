@@ -160,7 +160,7 @@ void backward_segment_softmax(Tape& tape, const OpRecord& rec) {
   const double* gy = tape.grad(nid(r.out)).data();
   double* gx = tape.mutable_grad(nid(r.x)).data();
   const float temperature = rec.scalar;
-  util::parallel_for_blocked(
+  util::ParallelRuntime::for_blocked(
       0, static_cast<std::size_t>(r.groups),
       [&](std::size_t lo, std::size_t hi) {
         softmax_groups_backward(yv, gy, gx, r.offsets, lo, hi, temperature);
@@ -177,7 +177,7 @@ void backward_gather_mul(Tape& tape, const OpRecord& rec) {
   double* gq = tape.mutable_grad(nid(r.q)).data();
   double* gp = tape.mutable_grad(nid(r.p)).data();
   const std::int32_t* index = r.index;
-  util::parallel_for_blocked(
+  util::ParallelRuntime::for_blocked(
       0, n,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
@@ -199,7 +199,7 @@ void backward_spmv(Tape& tape, const OpRecord& rec) {
   const std::uint32_t* off = r.offsets;
   const std::int32_t* cols = r.cols;
   const float* w = r.weights;
-  util::parallel_for_blocked(
+  util::ParallelRuntime::for_blocked(
       0, static_cast<std::size_t>(r.rows),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
@@ -217,7 +217,7 @@ void backward_sub_const(Tape& tape, const OpRecord& rec) {
   const auto& r = rec.u.subc;
   const double* gy = tape.grad(nid(r.out)).data();
   double* gx = tape.mutable_grad(nid(r.x)).data();
-  util::parallel_for_blocked(
+  util::ParallelRuntime::for_blocked(
       0, static_cast<std::size_t>(r.n),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) gx[i] += gy[i];
@@ -233,7 +233,7 @@ void backward_activation(Tape& tape, const OpRecord& rec) {
   const float* yv = tape.value(nid(r.out)).data();
   const double* gy = tape.grad(nid(r.out)).data();
   double* gx = tape.mutable_grad(nid(r.x)).data();
-  util::parallel_for_blocked(
+  util::ParallelRuntime::for_blocked(
       0, static_cast<std::size_t>(r.n),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
@@ -248,7 +248,7 @@ void backward_weighted_sum(Tape& tape, const OpRecord& rec) {
   const double g = tape.grad(nid(r.out))[0];
   double* gx = tape.mutable_grad(nid(r.x)).data();
   const float* w = r.w_len != 0 ? tape.pool_floats(r.w_off) : nullptr;
-  util::parallel_for_blocked(
+  util::ParallelRuntime::for_blocked(
       0, static_cast<std::size_t>(r.n),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) gx[i] += g * (w != nullptr ? w[i] : 1.0);
@@ -418,7 +418,7 @@ NodeId segment_softmax(Tape& tape, NodeId x, const std::vector<std::int32_t>& of
     float* yv = tape.mutable_value(out).data();
     const std::size_t groups = offsets.size() - 1;
     const std::int32_t* off = offsets.data();
-    util::parallel_for_blocked(
+    util::ParallelRuntime::for_blocked(
         0, groups,
         [&](std::size_t lo, std::size_t hi) {
           softmax_groups(xv, nz, yv, off, lo, hi, temperature);
@@ -445,7 +445,7 @@ NodeId gather_mul(Tape& tape, NodeId q, const std::vector<std::int32_t>& index, 
     const float* pv = tape.value(p).data();
     float* yv = tape.mutable_value(out).data();
     const std::int32_t* idx = index.data();
-    util::parallel_for_blocked(
+    util::ParallelRuntime::for_blocked(
         0, n,
         [&](std::size_t lo, std::size_t hi) { gather_mul_range(qv, idx, pv, yv, lo, hi); },
         kParGrain);
@@ -477,7 +477,7 @@ NodeId spmv(Tape& tape, NodeId x, const SparseIncidence& inc) {
     const std::uint32_t* off = inc.fwd_offsets->data();
     const std::int32_t* cols = inc.fwd_cols->data();
     const float* w = inc.fwd_weights->data();
-    util::parallel_for_blocked(
+    util::ParallelRuntime::for_blocked(
         0, rows,
         [&](std::size_t lo, std::size_t hi) {
           for (std::size_t r = lo; r < hi; ++r) {
@@ -511,7 +511,7 @@ NodeId sub_const(Tape& tape, NodeId x, const std::vector<float>& c) {
     const float* xv = tape.value(x).data();
     float* yv = tape.mutable_value(out).data();
     const float* cv = c.data();
-    util::parallel_for_blocked(
+    util::ParallelRuntime::for_blocked(
         0, n,
         [&](std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) yv[i] = xv[i] - cv[i];
@@ -542,7 +542,7 @@ NodeId apply_activation(Tape& tape, NodeId x, Activation act, float alpha) {
   {
     const float* xv = tape.value(x).data();
     float* yv = tape.mutable_value(out).data();
-    util::parallel_for_blocked(
+    util::ParallelRuntime::for_blocked(
         0, n,
         [&](std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) yv[i] = act_forward(act, alpha, xv[i]);

@@ -103,10 +103,6 @@ eval::RouteSolution PartitionedRouter::route(pipeline::RoutingContext& ctx) {
     util::ParallelRuntime::for_each(
         0, regions,
         [&](std::size_t r) {
-          // Region jobs already run as pool stage functions; the guard makes
-          // every dispatch inside the leaf router run inline (the pool's
-          // single-client discipline forbids nested submissions).
-          util::SerialSection serial;
           DGR_TRACE_SCOPE("partition.region");
           RegionResult& out = results[r];
           const std::vector<std::size_t>& nets = plan.region_nets[r];

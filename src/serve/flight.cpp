@@ -47,13 +47,13 @@ void FlightRecord::set_fault_sites(const std::vector<std::string>& sites) {
 FlightRecorder::FlightRecorder(std::size_t capacity) {
   std::size_t cap = 2;
   while (cap < capacity) cap <<= 1;
-  slots_ = std::make_unique<Slot[]>(cap);
+  ring_ = std::make_unique<Slot[]>(cap);
   mask_ = cap - 1;
 }
 
 void FlightRecorder::record(const FlightRecord& rec) {
   const std::uint64_t ticket = head_.fetch_add(1, std::memory_order_acq_rel);
-  Slot& slot = slots_[ticket & mask_];
+  Slot& slot = ring_[ticket & mask_];
   // Invalidate first so a reader holding the previous lap's sequence can
   // never validate a half-overwritten record, then publish with a release
   // store of this ticket's unique sequence.
@@ -80,7 +80,7 @@ obs::json::Value FlightRecorder::to_json(std::string_view reason) const {
   doc["recorded"] = head;
   Value records = Value::array();
   for (std::uint64_t t = begin; t < head; ++t) {
-    const Slot& slot = slots_[t & mask_];
+    const Slot& slot = ring_[t & mask_];
     if (slot.seq.load(std::memory_order_acquire) != t + 1) continue;
     FlightRecord rec = slot.rec;
     // Re-validate: a writer lapping us mid-copy bumped or zeroed the

@@ -87,7 +87,7 @@ class FlightRecorder {
     FlightRecord rec;
   };
 
-  std::unique_ptr<Slot[]> slots_;
+  std::unique_ptr<Slot[]> ring_;
   std::size_t mask_ = 0;
   std::atomic<std::uint64_t> head_{0};
   std::atomic<std::uint64_t> dumps_{0};

@@ -25,7 +25,7 @@ std::size_t default_workers() {
 // job carries an ARRAY of stages and workers wake once for the whole chain.
 //
 // Two design decisions keep thread scheduling off the submitter's critical
-// path entirely:
+// path:
 //
 //  * Progress is tracked per CHUNK, not per participant: stage s is complete
 //    when all of its chunks have retired, and whoever observes that (the
@@ -34,13 +34,12 @@ std::size_t default_workers() {
 //    worker the OS has not scheduled simply contributes nothing instead of
 //    adding a context-switch round trip to every stage boundary.
 //
-//  * Jobs live in a two-slot ring of pool-owned descriptors. A submission
-//    into slot s%2 only waits for leftover workers of the job TWO epochs
-//    back (same slot); the job just finished keeps its slot until then, so
-//    back-to-back kernels never stall on the previous job's checkout. A
-//    worker that wakes late simply processes whatever the current epoch is
-//    (claiming whatever chunks remain, often none) and checks out of that
-//    job's slot; epoch-stamped counters keep the accounting straight when a
+//  * One job at a time, in one pool-owned descriptor. A worker that wakes
+//    late simply processes whatever the current epoch is (claiming whatever
+//    chunks remain, often none) and checks out; the next submission waits
+//    for those check-outs before overwriting the descriptor (a finished
+//    job's gates are all open, so a late pass is pure bookkeeping), and the
+//    epoch-stamped pending_ counter keeps the accounting straight when a
 //    worker sleeps through a job entirely.
 //
 // On an oversubscribed machine (worker_count > cores) the caller therefore
@@ -50,8 +49,10 @@ std::size_t default_workers() {
 // boundaries derive from (begin, end, grain) only, and every output element
 // is owned by the chunk that writes it.
 //
-// Single-client discipline: jobs are submitted from one thread at a time
-// (the solver's training loop); stage functions must not submit nested jobs.
+// Any thread may submit. A submission that finds the pool busy — another
+// thread's job, or a nested call from inside a stage function — is refused
+// by try_run and runs inline on its own thread, which the determinism
+// contract makes bitwise identical to a pooled run.
 class Pool {
  public:
   static Pool& instance() {
@@ -59,47 +60,52 @@ class Pool {
     return pool;
   }
 
-  // At most kMaxStages stages per submission; pool_run_stages splits longer
-  // chains into batches (a full gate between batches is strictly stronger
-  // than the inter-stage gate, so semantics are unchanged).
-  static constexpr std::size_t kMaxStages = 8;
+  // Runs the job on `workers` participants unless another submission holds
+  // the pool, in which case nothing runs and the caller goes inline.
+  bool try_run(const detail::RawStage* stages, std::size_t count, std::size_t workers) {
+    if (busy_.exchange(true)) return false;
+    run(stages, count, workers);
+    busy_.store(false);
+    return true;
+  }
 
-  void run(const detail::RawStage* stages, std::size_t count) {
-    const std::size_t workers = worker_count();
-    if (workers <= 1) {  // defensive: the template layer normally short-circuits
-      for (std::size_t s = 0; s < count; ++s) {
-        if (stages[s].begin < stages[s].end) {
-          stages[s].fn(stages[s].ctx, stages[s].begin, stages[s].end);
-        }
-      }
-      return;
+ private:
+  Pool() = default;
+  ~Pool() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stopping_ = true;
+      ++epoch_;
+      cv_start_.notify_all();
     }
+    for (auto& t : threads_) t.join();
+  }
+
+  void run(const detail::RawStage* stages, std::size_t count, std::size_t workers) {
     std::unique_lock<std::mutex> lock(mu_);
-    const std::uint64_t epoch = epoch_ + 1;
-    Slot& slot = slots_[epoch % 2];
-    // Reuse gate: workers still inside the job two epochs back hold this
-    // slot. They had the whole previous job's duration to check out, so this
-    // wait is almost always a no-op.
-    cv_done_.wait(lock, [&] { return slot.refs == 0; });
+    // Reuse gate: workers that woke late for the previous job may still be
+    // reading the descriptor. They had the whole previous job's duration to
+    // check out, so this wait is almost always a no-op.
+    cv_done_.wait(lock, [&] { return refs_ == 0; });
     ensure_threads_locked(workers - 1);
-    slot.count = count;
+    count_ = count;
     for (std::size_t s = 0; s < count; ++s) {
-      slot.job[s] = stages[s];
-      slot.chunks[s] = stages[s].begin < stages[s].end
-                           ? (stages[s].end - stages[s].begin + stages[s].grain - 1) /
-                                 stages[s].grain
-                           : 0;
-      slot.cursor[s].store(stages[s].begin, std::memory_order_relaxed);
-      slot.done[s].store(0, std::memory_order_relaxed);
+      job_[s] = stages[s];
+      chunks_[s] = stages[s].begin < stages[s].end
+                       ? (stages[s].end - stages[s].begin + stages[s].grain - 1) /
+                             stages[s].grain
+                       : 0;
+      cursor_[s].store(stages[s].begin, std::memory_order_relaxed);
+      done_[s].store(0, std::memory_order_relaxed);
     }
     // Span emission is decided per JOB at submit time: a worker waking late
     // for a job submitted before tracing was enabled must not leak a
     // "pool.job" span into the traced window (and vice versa).
-    slot.traced = obs::tracing_enabled();
+    traced_ = obs::tracing_enabled();
     // Request context rides the job the same way: captured once at submit so
     // worker-side spans (pool.job and anything inside the stage bodies)
     // carry the submitting request's identity, not a stale one.
-    slot.ctx = obs::current_trace_context();
+    ctx_ = obs::current_trace_context();
     // Exactly `workers` participants MAY run this job: the caller plus pool
     // threads [0, workers-1). Extra pool threads left over from a larger
     // previous worker_count wake, see they are not enrolled, and go back to
@@ -108,8 +114,8 @@ class Pool {
     // decrements a stale counter.
     active_threads_ = workers - 1;
     pending_ = static_cast<int>(active_threads_);
-    epoch_ = epoch;
-    if (slot.traced) {
+    ++epoch_;
+    if (traced_) {
       // Traced jobs wake every enrolled worker so the Chrome timeline shows
       // one "pool.job" span per participant (the drain below guarantees they
       // all ran before the submission returns).
@@ -134,39 +140,16 @@ class Pool {
     }
     lock.unlock();
 
-    work_stages(slot);  // caller participates; returns once every chunk retired
+    work_stages();  // caller participates; returns once every chunk retired
 
     // With tracing on, drain every enrolled worker before returning so each
     // participant's "pool.job" span lands inside the caller's enclosing span
     // (and the Chrome timeline never shows job-N worker spans overlapping
     // job N+1). Tracing only observes — results are identical either way.
-    if (slot.traced) {
+    if (traced_) {
       lock.lock();
       cv_done_.wait(lock, [&] { return pending_ == 0; });
     }
-  }
-
- private:
-  struct Slot {
-    detail::RawStage job[kMaxStages];
-    std::size_t chunks[kMaxStages] = {};
-    std::size_t count = 0;
-    bool traced = false;
-    obs::TraceContext ctx;  // submitter's request context, captured per job
-    int refs = 0;  // workers currently executing this slot (guarded by mu_)
-    std::atomic<std::size_t> cursor[kMaxStages] = {};
-    std::atomic<std::size_t> done[kMaxStages] = {};
-  };
-
-  Pool() = default;
-  ~Pool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stopping_ = true;
-      ++epoch_;
-      cv_start_.notify_all();
-    }
-    for (auto& t : threads_) t.join();
   }
 
   void ensure_threads_locked(std::size_t n) {
@@ -182,12 +165,11 @@ class Pool {
           if (stopping_) return;
           my_epoch = epoch_;
           if (my_index >= active_threads_) continue;
-          Slot& slot = slots_[my_epoch % 2];
-          ++slot.refs;
+          ++refs_;
           lock.unlock();
-          work_stages(slot);
+          work_stages();
           lock.lock();
-          --slot.refs;
+          --refs_;
           if (my_epoch == epoch_) --pending_;
           cv_done_.notify_one();
         }
@@ -195,48 +177,47 @@ class Pool {
     }
   }
 
-  // Executes every stage of the given job, claiming chunks from the
+  // Executes every stage of the current job, claiming chunks from the
   // per-stage cursor. Stage gate: each retired chunk does a release
-  // fetch_add on done[s]; moving on requires an acquire load observing the
+  // fetch_add on done_[s]; moving on requires an acquire load observing the
   // full count, which makes all stage-s writes visible to stage-s+1 readers
   // (and to the caller when it returns after the final gate). A participant
   // that claims nothing passes each gate as soon as the chunks retire —
   // late-waking workers cost bookkeeping, never a stage delay.
-  void work_stages(Slot& slot) {
+  void work_stages() {
     // One span per participant per traced job: the Chrome timeline shows
     // every worker's share of each submission (determinism is unaffected —
     // the tracer only observes).
-    if (slot.traced) {
+    if (traced_) {
       // Inherit the submitter's request context so this participant's
       // pool.job span — and any span emitted inside the stage bodies — is
       // attributed to the request that submitted the job.
-      obs::TraceContextScope ctx_scope(slot.ctx);
+      obs::TraceContextScope ctx_scope(ctx_);
       DGR_TRACE_SCOPE("pool.job");
-      execute_stages(slot);
+      execute_stages();
     } else {
-      execute_stages(slot);
+      execute_stages();
     }
   }
 
-  void execute_stages(Slot& slot) {
-    const std::size_t count = slot.count;
-    for (std::size_t s = 0; s < count; ++s) {
-      const detail::RawStage st = slot.job[s];
-      const std::size_t n_chunks = slot.chunks[s];
+  void execute_stages() {
+    for (std::size_t s = 0; s < count_; ++s) {
+      const detail::RawStage st = job_[s];
+      const std::size_t n_chunks = chunks_[s];
       for (;;) {
         const std::size_t lo =
-            slot.cursor[s].fetch_add(st.grain, std::memory_order_relaxed);
+            cursor_[s].fetch_add(st.grain, std::memory_order_relaxed);
         if (lo >= st.end) break;
         const std::size_t hi = lo + st.grain < st.end ? lo + st.grain : st.end;
         st.fn(st.ctx, lo, hi);
-        slot.done[s].fetch_add(1, std::memory_order_release);
+        done_[s].fetch_add(1, std::memory_order_release);
       }
       // Brief spin, then yield: on oversubscribed machines the peer holding
       // the last unretired chunk needs the core we are holding, so with a
       // single hardware thread spinning at all is counterproductive.
       static const int spin_limit = std::thread::hardware_concurrency() > 1 ? 64 : 0;
       int spins = 0;
-      while (slot.done[s].load(std::memory_order_acquire) != n_chunks) {
+      while (done_[s].load(std::memory_order_acquire) != n_chunks) {
         if (++spins > spin_limit) std::this_thread::yield();
       }
     }
@@ -247,9 +228,18 @@ class Pool {
   std::condition_variable cv_done_;
   std::vector<std::thread> threads_;
 
-  // Job ring. Slot state is written under mu_ (exclusivity enforced by the
-  // refs reuse gate), then read-only during the job's lifetime.
-  Slot slots_[2];
+  std::atomic<bool> busy_{false};  // held by the one submitter inside run()
+
+  // The job descriptor. Written under mu_ (exclusivity enforced by the refs_
+  // reuse gate), then read-only during the job's lifetime.
+  detail::RawStage job_[detail::kMaxStages];
+  std::size_t chunks_[detail::kMaxStages] = {};
+  std::size_t count_ = 0;
+  bool traced_ = false;
+  obs::TraceContext ctx_;  // submitter's request context, captured per job
+  int refs_ = 0;  // workers currently executing the job (guarded by mu_)
+  std::atomic<std::size_t> cursor_[detail::kMaxStages] = {};
+  std::atomic<std::size_t> done_[detail::kMaxStages] = {};
   std::size_t active_threads_ = 0;
   int pending_ = 0;  // enrolled workers yet to process the CURRENT epoch
   std::uint64_t epoch_ = 0;
@@ -265,24 +255,11 @@ std::size_t worker_count() {
 
 void set_worker_count(std::size_t n) { g_override.store(n, std::memory_order_relaxed); }
 
-namespace {
-// Depth, not a flag: serial sections nest (a region job that itself opens one
-// must not re-enable pool dispatch when the inner guard unwinds).
-thread_local int g_serial_depth = 0;
-}  // namespace
-
-bool serial_section_active() { return g_serial_depth > 0; }
-
-SerialSection::SerialSection() { ++g_serial_depth; }
-SerialSection::~SerialSection() { --g_serial_depth; }
-
 namespace detail {
 
-void pool_run_stages(const RawStage* stages, std::size_t count) {
-  for (std::size_t s = 0; s < count; s += Pool::kMaxStages) {
-    const std::size_t batch = count - s < Pool::kMaxStages ? count - s : Pool::kMaxStages;
-    Pool::instance().run(stages + s, batch);
-  }
+bool pool_try_run(const RawStage* stages, std::size_t count) {
+  const std::size_t workers = worker_count();
+  return workers > 1 && Pool::instance().try_run(stages, count, workers);
 }
 
 }  // namespace detail

@@ -13,6 +13,9 @@
 //
 //  * fast path — a range that fits in one grain, or worker_count() == 1,
 //    runs inline on the calling thread with no pool wakeup at all;
+//  * one job at a time — a submission that finds the pool busy (another
+//    thread's job, or a nested call from inside a stage function) runs
+//    inline on its own thread instead of queueing behind it;
 //  * fused multi-stage tasks — a chain of dependent kernels (e.g. the DGR
 //    softmax -> expectation -> scatter pipeline) is submitted as one job:
 //    one condition-variable wakeup covers every stage, with per-stage
@@ -42,23 +45,6 @@ std::size_t worker_count();
 /// that check determinism across thread counts.
 void set_worker_count(std::size_t n);
 
-/// True while a SerialSection is alive on the calling thread.
-bool serial_section_active();
-
-/// RAII guard forcing every ParallelRuntime dispatch on this thread to run
-/// inline, without touching the pool. Required inside code that already
-/// executes as a pool stage function (the partition router's region jobs):
-/// the pool's single-client discipline forbids nested submissions, and the
-/// determinism contract makes inline execution bitwise identical to a pooled
-/// one, so a serial section changes scheduling, never results. Nestable.
-class SerialSection {
- public:
-  SerialSection();
-  ~SerialSection();
-  SerialSection(const SerialSection&) = delete;
-  SerialSection& operator=(const SerialSection&) = delete;
-};
-
 namespace detail {
 
 /// Type-erased-but-cheap stage descriptor handed to the pool: a raw function
@@ -72,13 +58,34 @@ struct RawStage {
   std::size_t grain = 1;
 };
 
+/// Most stages one submission may carry (the longest chain today has 3).
+inline constexpr std::size_t kMaxStages = 8;
+
 /// Runs `count` stages on the persistent pool with ONE wakeup: participants
 /// claim chunks of stage s from a shared cursor, then pass a chunk-retirement
-/// gate before stage s+1 begins. Returns once every chunk of every stage has
-/// completed (late-waking workers may still be checking out; the next
-/// submission waits for them before reusing the job slot). Defined in
-/// parallel.cpp. Precondition: count >= 1, every grain >= 1.
-void pool_run_stages(const RawStage* stages, std::size_t count);
+/// gate before stage s+1 begins. Returns true once every chunk of every stage
+/// has completed (late-waking workers may still be checking out; the next
+/// submission waits for them before reusing the job descriptor). Returns
+/// false without running anything when worker_count() <= 1 or the pool is
+/// already running another job. Defined in parallel.cpp. Precondition:
+/// 1 <= count <= kMaxStages, every grain >= 1.
+bool pool_try_run(const RawStage* stages, std::size_t count);
+
+/// Runs every stage over its whole range on the calling thread. Bitwise
+/// identical to a pooled run: chunk boundaries never change results.
+inline void run_inline(const RawStage* stages, std::size_t count) {
+  for (std::size_t s = 0; s < count; ++s) {
+    if (stages[s].begin < stages[s].end) {
+      stages[s].fn(stages[s].ctx, stages[s].begin, stages[s].end);
+    }
+  }
+}
+
+/// Pooled when the work spans more than one grain and the pool is free;
+/// inline otherwise.
+inline void dispatch(const RawStage* stages, std::size_t count, bool small) {
+  if (small || !pool_try_run(stages, count)) run_inline(stages, count);
+}
 
 template <class F>
 void blocked_trampoline(void* ctx, std::size_t lo, std::size_t hi) {
@@ -122,14 +129,10 @@ class ParallelRuntime {
                        std::size_t grain = 1024) {
     if (begin >= end) return;
     if (grain == 0) grain = 1;
-    if (end - begin <= grain || worker_count() <= 1 || serial_section_active()) {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-      return;
-    }
-    detail::RawStage stage{&detail::indexed_trampoline<std::remove_reference_t<F>>,
-                           const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
-                           begin, end, grain};
-    detail::pool_run_stages(&stage, 1);
+    const detail::RawStage stage{
+        &detail::indexed_trampoline<std::remove_reference_t<F>>,
+        const_cast<void*>(static_cast<const void*>(std::addressof(fn))), begin, end, grain};
+    detail::dispatch(&stage, 1, end - begin <= grain);
   }
 
   /// Block variant: fn(lo, hi) on contiguous chunks covering [begin, end).
@@ -139,59 +142,30 @@ class ParallelRuntime {
                           std::size_t grain = 4096) {
     if (begin >= end) return;
     if (grain == 0) grain = 1;
-    if (end - begin <= grain || worker_count() <= 1 || serial_section_active()) {
-      fn(begin, end);
-      return;
-    }
-    detail::RawStage stage{&detail::blocked_trampoline<std::remove_reference_t<F>>,
-                           const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
-                           begin, end, grain};
-    detail::pool_run_stages(&stage, 1);
+    const detail::RawStage stage{
+        &detail::blocked_trampoline<std::remove_reference_t<F>>,
+        const_cast<void*>(static_cast<const void*>(std::addressof(fn))), begin, end, grain};
+    detail::dispatch(&stage, 1, end - begin <= grain);
   }
 
   /// Fused submission: runs the stages in order with a barrier between
   /// consecutive stages, paying a single pool wakeup for the whole chain.
   /// Stage k+1 may read anything stage k wrote (the barrier publishes it).
   /// Falls back to an inline serial sweep when the pool would not help
-  /// (single worker, or every stage fits in its own grain) — bitwise
-  /// identical results either way thanks to the ownership contract.
+  /// (single worker, every stage fits in its own grain, or the pool is busy)
+  /// — bitwise identical results either way thanks to the ownership contract.
   template <class... S>
   static void fused(BlockedStage<S>... stages) {
     constexpr std::size_t kCount = sizeof...(S);
-    if constexpr (kCount == 0) {
-      return;
-    } else {
-      const bool all_small = ((stages.end - stages.begin <= stages.grain) && ...);
-      if (all_small || worker_count() <= 1 || serial_section_active()) {
-        (run_serial(stages), ...);
-        return;
-      }
+    static_assert(kCount <= detail::kMaxStages, "too many stages for one fused job");
+    if constexpr (kCount > 0) {
       const detail::RawStage raw[kCount] = {detail::RawStage{
           &detail::blocked_trampoline<S>,
           const_cast<void*>(static_cast<const void*>(std::addressof(stages.fn))),
           stages.begin, stages.end, stages.grain}...};
-      detail::pool_run_stages(raw, kCount);
+      detail::dispatch(raw, kCount, ((stages.end - stages.begin <= stages.grain) && ...));
     }
   }
-
- private:
-  template <class S>
-  static void run_serial(S& stage) {
-    if (stage.begin < stage.end) stage.fn(stage.begin, stage.end);
-  }
 };
-
-/// Back-compat free-function spellings; these inline straight into the
-/// runtime (no std::function, no overhead versus calling it directly).
-template <class F>
-void parallel_for(std::size_t begin, std::size_t end, F&& fn, std::size_t grain = 1024) {
-  ParallelRuntime::for_each(begin, end, std::forward<F>(fn), grain);
-}
-
-template <class F>
-void parallel_for_blocked(std::size_t begin, std::size_t end, F&& fn,
-                          std::size_t grain = 4096) {
-  ParallelRuntime::for_blocked(begin, end, std::forward<F>(fn), grain);
-}
 
 }  // namespace dgr::util

@@ -1,16 +1,14 @@
 // Partition subsystem tests (`ctest -L partition`): tiling/classification
 // invariants of build_partition_plan, RegionSlice edge mapping, the
 // DemandMap halo snapshot/merge byte-identity contract (including
-// overlapping halos), SerialSection inline-dispatch semantics, and the
-// PartitionedRouter's bitwise determinism across worker counts {1,2,4} at
-// fixed partition counts {2,4} — the repo determinism contract extended to
-// partition-parallel routing.
+// overlapping halos), and the PartitionedRouter's bitwise determinism
+// across worker counts {1,2,4} at fixed partition counts {2,4} — the repo
+// determinism contract extended to partition-parallel routing.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "design/generator.hpp"
@@ -282,38 +280,6 @@ TEST(HaloDemand, MergeRoundTripIsByteIdenticalAcrossOverlappingHalos) {
   EXPECT_EQ(std::memcmp(parent.raw().data(), baseline.data(),
                         baseline.size() * sizeof(double)),
             0);
-}
-
-// ---------------------------------------------------------------------------
-// SerialSection
-// ---------------------------------------------------------------------------
-
-TEST(SerialSection, ForcesInlineDispatchAndNests) {
-  EXPECT_FALSE(util::serial_section_active());
-  {
-    util::SerialSection outer;
-    EXPECT_TRUE(util::serial_section_active());
-    {
-      util::SerialSection inner;
-      EXPECT_TRUE(util::serial_section_active());
-    }
-    EXPECT_TRUE(util::serial_section_active());
-
-    // Every index must run on the calling thread, pool or not.
-    const std::thread::id self = std::this_thread::get_id();
-    std::vector<int> hit(5000, 0);
-    bool same_thread = true;
-    util::ParallelRuntime::for_each(
-        0, hit.size(),
-        [&](std::size_t i) {
-          hit[i] = 1;
-          if (std::this_thread::get_id() != self) same_thread = false;
-        },
-        /*grain=*/8);
-    EXPECT_TRUE(same_thread);
-    for (const int h : hit) EXPECT_EQ(h, 1);
-  }
-  EXPECT_FALSE(util::serial_section_active());
 }
 
 // ---------------------------------------------------------------------------

@@ -25,12 +25,15 @@
 #include "design/generator.hpp"
 #include "design/io.hpp"
 #include "obs/obs.hpp"
+#include "pipeline/adapters.hpp"
+#include "pipeline/context.hpp"
 #include "serve/flight.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "serve/transport.hpp"
 #include "util/fault.hpp"
+#include "util/parallel.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/socket.h>
@@ -760,12 +763,23 @@ TEST(ServeServer, RetryThenDegradeSequencing) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeServer, WorkerCountsProduceBitwiseIdenticalResponses) {
-  const int kSessions = 6;
+  // Six small sessions stay on the inline fast path; the last one is large
+  // enough for DGR's per-path kernels to reach the pool while the other
+  // sessions' routes run beside it on the remaining serve workers.
+  const int kSessions = 7;
   std::vector<std::string> designs;
-  for (int s = 0; s < kSessions; ++s) {
+  for (int s = 0; s + 1 < kSessions; ++s) {
     designs.push_back(design_text(serve_design(100 + s, 8, 24)));
   }
-  const char* routers[] = {"dgr", "cugr2-lite", "sproute-lite"};
+  const design::Design large = serve_design(106, 32, 900);
+  {
+    pipeline::RoutingContext ctx(large);
+    const std::size_t paths = ctx.forest(pipeline::RouterOptions{}.forest).paths().size();
+    ASSERT_GT(paths, 2048u);  // more than one kernel grain (kParGrain in ad/ops.cpp)
+  }
+  designs.push_back(design_text(large));
+  const char* routers[] = {"dgr", "cugr2-lite", "sproute-lite"};  // session 6 is dgr
+  util::set_worker_count(4);
 
   auto run_at = [&](int workers) {
     ServerOptions options;
@@ -811,6 +825,7 @@ TEST(ServeServer, WorkerCountsProduceBitwiseIdenticalResponses) {
       EXPECT_EQ(it->second, line) << "workers=" << workers << " id=" << id;
     }
   }
+  util::set_worker_count(0);
 }
 
 // ---------------------------------------------------------------------------

@@ -131,13 +131,13 @@ TEST(Rng, ShufflePermutes) {
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   const std::size_t n = 100000;
   std::vector<std::atomic<int>> hits(n);
-  parallel_for(0, n, [&](std::size_t i) { hits[i].fetch_add(1); }, 64);
+  ParallelRuntime::for_each(0, n, [&](std::size_t i) { hits[i].fetch_add(1); }, 64);
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
   bool ran = false;
-  parallel_for(5, 5, [&](std::size_t) { ran = true; });
+  ParallelRuntime::for_each(5, 5, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
@@ -147,7 +147,7 @@ TEST(ParallelFor, DeterministicAcrossWorkerCounts) {
   auto run = [&](std::size_t workers) {
     set_worker_count(workers);
     std::vector<double> out(n);
-    parallel_for_blocked(0, n, [&](std::size_t lo, std::size_t hi) {
+    ParallelRuntime::for_blocked(0, n, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) out[i] = std::sin(static_cast<double>(i));
     });
     set_worker_count(0);
@@ -161,8 +161,8 @@ TEST(ParallelFor, SmallRangeRunsInlineOnCallingThread) {
   // Fast path: a range that fits in one grain must not wake the pool.
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> seen(100);
-  parallel_for(0, 100, [&](std::size_t i) { seen[i] = std::this_thread::get_id(); },
-               /*grain=*/1024);
+  ParallelRuntime::for_each(
+      0, 100, [&](std::size_t i) { seen[i] = std::this_thread::get_id(); }, /*grain=*/1024);
   for (const auto& id : seen) EXPECT_EQ(id, caller);
 }
 
@@ -170,7 +170,7 @@ TEST(ParallelFor, SingleWorkerRunsInlineOnCallingThread) {
   set_worker_count(1);
   const std::thread::id caller = std::this_thread::get_id();
   std::atomic<bool> off_thread{false};
-  parallel_for_blocked(0, 100000, [&](std::size_t, std::size_t) {
+  ParallelRuntime::for_blocked(0, 100000, [&](std::size_t, std::size_t) {
     if (std::this_thread::get_id() != caller) off_thread.store(true);
   }, /*grain=*/64);
   set_worker_count(0);
@@ -180,10 +180,10 @@ TEST(ParallelFor, SingleWorkerRunsInlineOnCallingThread) {
 TEST(ParallelFor, GrainZeroIsTreatedAsOne) {
   const std::size_t n = 3000;
   std::vector<std::atomic<int>> hits(n);
-  parallel_for(0, n, [&](std::size_t i) { hits[i].fetch_add(1); }, /*grain=*/0);
+  ParallelRuntime::for_each(0, n, [&](std::size_t i) { hits[i].fetch_add(1); }, /*grain=*/0);
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
   std::atomic<std::size_t> covered{0};
-  parallel_for_blocked(0, n, [&](std::size_t lo, std::size_t hi) {
+  ParallelRuntime::for_blocked(0, n, [&](std::size_t lo, std::size_t hi) {
     covered.fetch_add(hi - lo);
   }, /*grain=*/0);
   EXPECT_EQ(covered.load(), n);
@@ -191,7 +191,7 @@ TEST(ParallelFor, GrainZeroIsTreatedAsOne) {
 
 TEST(ParallelFor, RangeSmallerThanGrainExecutesExactlyOnce) {
   std::vector<std::atomic<int>> hits(10);
-  parallel_for_blocked(0, 10, [&](std::size_t lo, std::size_t hi) {
+  ParallelRuntime::for_blocked(0, 10, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
   }, /*grain=*/4096);
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(hits[i].load(), 1);
@@ -205,16 +205,101 @@ TEST(ParallelFor, BackToBackSubmissionsFromMainThread) {
     const std::size_t n = 4096;
     std::vector<std::atomic<int>> hits(n);
     for (int round = 0; round < 100; ++round) {
-      parallel_for(0, n, [&](std::size_t i) { hits[i].fetch_add(1); }, /*grain=*/16);
+      ParallelRuntime::for_each(
+          0, n, [&](std::size_t i) { hits[i].fetch_add(1); }, /*grain=*/16);
     }
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 100) << i;
   }
   set_worker_count(0);
 }
 
+TEST(ParallelFor, ConcurrentSubmittersRunExactlyOnce) {
+  // Several client threads (the serve daemon's routing workers) submit at
+  // once: one of them holds the pool, the others run inline. Every job must
+  // still execute each index exactly once, with fused stage gates intact.
+  constexpr int kRounds = 1000;
+  constexpr std::size_t n = 4096;
+  for (const std::size_t workers : {2u, 4u}) {
+    set_worker_count(workers);
+    for (const int clients : {2, 4}) {
+      std::atomic<int> bad_gate{0};
+      std::vector<std::vector<std::atomic<int>>> each(clients), s1(clients), s2(clients);
+      std::vector<std::thread> threads;
+      for (int c = 0; c < clients; ++c) {
+        each[c] = std::vector<std::atomic<int>>(n);
+        s1[c] = std::vector<std::atomic<int>>(n);
+        s2[c] = std::vector<std::atomic<int>>(n);
+        threads.emplace_back([&, c] {
+          auto& hits = each[c];
+          auto& a = s1[c];
+          auto& b = s2[c];
+          for (int round = 0; round < kRounds; ++round) {
+            ParallelRuntime::for_each(
+                0, n, [&](std::size_t i) { hits[i].fetch_add(1); }, /*grain=*/16);
+            ParallelRuntime::fused(
+                stage_blocked(0, n, 16,
+                              [&](std::size_t lo, std::size_t hi) {
+                                for (std::size_t i = lo; i < hi; ++i) a[i].fetch_add(1);
+                              }),
+                stage_blocked(0, n, 16, [&](std::size_t lo, std::size_t hi) {
+                  for (std::size_t i = lo; i < hi; ++i) {
+                    // Reads a mirrored index: only valid past the stage gate.
+                    if (a[n - 1 - i].load() != round + 1) bad_gate.fetch_add(1);
+                    b[i].fetch_add(1);
+                  }
+                }));
+          }
+        });
+      }
+      for (auto& t : threads) t.join();
+      EXPECT_EQ(bad_gate.load(), 0) << "workers=" << workers << " clients=" << clients;
+      for (int c = 0; c < clients; ++c) {
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(each[c][i].load(), kRounds) << "client=" << c << " i=" << i;
+          ASSERT_EQ(s1[c][i].load(), kRounds) << "client=" << c << " i=" << i;
+          ASSERT_EQ(s2[c][i].load(), kRounds) << "client=" << c << " i=" << i;
+        }
+      }
+    }
+  }
+  set_worker_count(0);
+}
+
+TEST(ParallelFor, NestedSubmissionRunsInlineOnStageThread) {
+  // A stage function that submits work finds the pool busy with its own job,
+  // so the inner loop runs inline on the thread executing that stage.
+  set_worker_count(4);
+  constexpr std::size_t kOuter = 64;
+  constexpr std::size_t kInner = 512;
+  std::vector<std::vector<std::thread::id>> ran_on(kOuter,
+                                                   std::vector<std::thread::id>(kInner));
+  std::vector<std::vector<int>> hits(kOuter, std::vector<int>(kInner, 0));
+  std::vector<std::thread::id> outer_thread(kOuter);
+  ParallelRuntime::for_each(
+      0, kOuter,
+      [&](std::size_t r) {
+        outer_thread[r] = std::this_thread::get_id();
+        ParallelRuntime::for_each(
+            0, kInner,
+            [&](std::size_t i) {
+              ran_on[r][i] = std::this_thread::get_id();
+              ++hits[r][i];
+            },
+            /*grain=*/8);
+      },
+      /*grain=*/1);
+  set_worker_count(0);
+  for (std::size_t r = 0; r < kOuter; ++r) {
+    for (std::size_t i = 0; i < kInner; ++i) {
+      ASSERT_EQ(hits[r][i], 1) << r << "/" << i;
+      ASSERT_EQ(ran_on[r][i], outer_thread[r]) << r << "/" << i;
+    }
+  }
+}
+
 TEST(ParallelFor, BlockedChunksPartitionRange) {
   std::atomic<std::size_t> total{0};
-  parallel_for_blocked(10, 1010, [&](std::size_t lo, std::size_t hi) {
+  ParallelRuntime::for_blocked(10, 1010, [&](std::size_t lo, std::size_t hi) {
     total.fetch_add(hi - lo);
   }, 16);
   EXPECT_EQ(total.load(), 1000u);
