@@ -16,9 +16,16 @@ struct AdamConfig {
 
 class Adam {
  public:
+  /// Trains every parameter of a vector of `size`.
   Adam(std::size_t size, AdamConfig config = {});
+  /// Trains only params[trained[k]] (indices into a vector of `size`,
+  /// ascending so no two parallel chunks share a parameter): the other
+  /// parameters are never written and keep no moments.
+  Adam(std::size_t size, std::vector<std::int32_t> trained, AdamConfig config);
 
-  /// Applies one update: params -= lr * m_hat / (sqrt(v_hat) + eps).
+  /// Applies one update to every trained parameter, with grads[k] the
+  /// gradient of params[trained[k]]:
+  /// params -= lr * m_hat / (sqrt(v_hat) + eps).
   void step(std::vector<float>& params, const std::vector<double>& grads);
 
   std::int64_t iteration() const { return t_; }
@@ -32,6 +39,8 @@ class Adam {
 
  private:
   AdamConfig config_;
+  std::size_t size_ = 0;
+  std::vector<std::int32_t> trained_;
   std::vector<double> m_;
   std::vector<double> v_;
   std::int64_t t_ = 0;

@@ -55,6 +55,11 @@ double act_derivative(Activation act, float alpha, float v, float y) {
 void softmax_group(const float* x, const float* noise, float* y, std::size_t lo,
                    std::size_t hi, float temperature) {
   if (lo == hi) return;
+  if (hi - lo == 1) {
+    // exp(l - l) / 1 is exactly 1 for any finite l above the -1e30 max seed.
+    y[lo] = 1.0f;
+    return;
+  }
   float mx = -1e30f;
   for (std::size_t i = lo; i < hi; ++i) {
     const float logit = (x[i] + (noise != nullptr ? noise[i] : 0.0f)) / temperature;
@@ -94,6 +99,10 @@ void softmax_groups(const float* x, const float* noise, float* y,
     const auto lo = static_cast<std::size_t>(offsets[g]);
     const auto hi = static_cast<std::size_t>(offsets[g + 1]);
     if (lo == hi) continue;
+    if (hi - lo == 1) {
+      y[lo] = 0.0f;  // l - l: the sweep's exp(0) is exactly 1
+      continue;
+    }
     float mx = -1e30f;
     for (std::size_t i = lo; i < hi; ++i) {
       const float logit = (x[i] + (noise != nullptr ? noise[i] : 0.0f)) / temperature;
@@ -110,7 +119,7 @@ void softmax_groups(const float* x, const float* noise, float* y,
   for (std::size_t g = glo; g < ghi; ++g) {
     const auto lo = static_cast<std::size_t>(offsets[g]);
     const auto hi = static_cast<std::size_t>(offsets[g + 1]);
-    if (lo == hi) continue;
+    if (hi - lo < 2) continue;
     double denom = 0.0;
     for (std::size_t i = lo; i < hi; ++i) denom += y[i];
     const float inv = static_cast<float>(1.0 / denom);
@@ -119,9 +128,11 @@ void softmax_groups(const float* x, const float* noise, float* y,
 }
 
 /// Softmax backward for one group: gx_k += y_k/t * (gy_k - Σ_j gy_j y_j).
+/// A one-element group adds (gy - gy·1)/t = +0 for finite gy, so its gx is
+/// left untouched.
 void softmax_group_backward(const float* y, const double* gy, double* gx,
                             std::size_t lo, std::size_t hi, float temperature) {
-  if (lo == hi) return;
+  if (hi - lo < 2) return;
   double dot = 0.0;
   for (std::size_t i = lo; i < hi; ++i) dot += gy[i] * y[i];
   const double inv_t = 1.0 / temperature;
@@ -399,7 +410,7 @@ void run_backward(Tape& tape, const OpRecord& rec) {
 
 NodeId segment_softmax(Tape& tape, NodeId x, const std::vector<std::int32_t>& offsets,
                        float temperature, const std::vector<float>* noise) {
-  if (offsets.size() < 2) throw std::invalid_argument("segment_softmax: no groups");
+  if (offsets.empty()) throw std::invalid_argument("segment_softmax: empty offsets");
   if (temperature <= 0.0f) throw std::invalid_argument("segment_softmax: t must be > 0");
   const std::size_t n = tape.size(x);
   if (static_cast<std::size_t>(offsets.back()) != n) {
@@ -590,8 +601,8 @@ FusedSelectionDemand fused_softmax_demand(
   DGR_TRACE_SCOPE("ad.fused_softmax_demand");
   const std::size_t np = tape.size(path_logits);
   const std::size_t nt = tape.size(tree_logits);
-  if (path_offsets.size() < 2 || tree_offsets.size() < 2) {
-    throw std::invalid_argument("fused_softmax_demand: no groups");
+  if (path_offsets.empty() || tree_offsets.empty()) {
+    throw std::invalid_argument("fused_softmax_demand: empty offsets");
   }
   if (temperature <= 0.0f) {
     throw std::invalid_argument("fused_softmax_demand: t must be > 0");

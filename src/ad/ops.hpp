@@ -30,7 +30,10 @@ namespace dgr::ad {
 ///   y_i = exp((x_i + noise_i)/t) / Σ_group exp((x_k + noise_k)/t)
 /// `noise` (optional, same size as x) carries Gumbel samples; with noise and
 /// t=1 this is the Gumbel-Softmax of the paper, without noise a plain
-/// softmax. Numerically stabilised by per-group max subtraction.
+/// softmax. Numerically stabilised by per-group max subtraction. A
+/// one-element group is written as exactly 1 and its backward adds nothing
+/// to grad(x) — what the general formula gives for finite inputs. `offsets`
+/// = {0} (no groups) is a legal empty op.
 NodeId segment_softmax(Tape& tape, NodeId x, const std::vector<std::int32_t>& offsets,
                        float temperature, const std::vector<float>* noise = nullptr);
 
@@ -82,7 +85,8 @@ struct FusedSelectionDemand {
 /// Fuses the selection chain p = softmax(x_p), q = softmax(x_q),
 /// eff = gather_mul(q, path_tree, p), demand = spmv(eff, inc) into ONE
 /// fused parallel job (3 stages forward, 3 stages backward). `noise`
-/// pointers carry Gumbel samples as in segment_softmax.
+/// pointers carry Gumbel samples, and one-element or zero groups behave, as
+/// in segment_softmax.
 ///
 /// `tree_path_offsets` (size |trees|+1) gives each tree's contiguous path
 /// range — paths are tree-major in the DAG forest pools — and lets the

@@ -49,6 +49,17 @@ Relaxation Relaxation::build(const dag::DagForest& forest) {
   }
   r.path_inc_offsets.push_back(static_cast<std::uint32_t>(forest.inc_edges().size()));
 
+  // Path logits come first in the solver's parameter vector, tree logits
+  // after them at offset |P|.
+  auto list_trainable = [&r](const std::vector<std::int32_t>& offsets, std::int32_t base) {
+    for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
+      if (offsets[g + 1] - offsets[g] < 2) continue;
+      for (std::int32_t i = offsets[g]; i < offsets[g + 1]; ++i) r.trainable.push_back(base + i);
+    }
+  };
+  list_trainable(r.path_group_offsets, 0);
+  list_trainable(r.tree_group_offsets, static_cast<std::int32_t>(paths.size()));
+
   r.incidence.fwd_offsets = &forest.edge_inc_offsets();
   r.incidence.fwd_cols = &forest.edge_inc_paths();
   r.incidence.fwd_weights = &forest.edge_inc_weights();
@@ -64,6 +75,7 @@ std::size_t Relaxation::memory_bytes() const {
          path_tree.capacity() * sizeof(std::int32_t) +
          tree_path_offsets.capacity() * sizeof(std::int32_t) +
          path_inc_offsets.capacity() * sizeof(std::uint32_t) +
+         trainable.capacity() * sizeof(std::int32_t) +
          wirelength.capacity() * sizeof(float) + turns.capacity() * sizeof(float);
 }
 

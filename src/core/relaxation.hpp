@@ -27,6 +27,12 @@ struct Relaxation {
   std::vector<std::int32_t> tree_path_offsets;
   /// Transposed-incidence row offsets per path. Size |P|+1.
   std::vector<std::uint32_t> path_inc_offsets;
+  /// The trainable logits: ascending indices into the solver's
+  /// [path logits | tree logits] vector of every candidate in a group of two
+  /// or more. A one-candidate group's softmax is exactly 1 and its logit
+  /// gradient exactly 0, so its logit is inert and the per-step noise,
+  /// softmax and Adam work skip it (DESIGN.md §5.3).
+  std::vector<std::int32_t> trainable;
 
   /// WL_i per path (Eq. 4) and TP_i per path (Eq. 5). Size |P|.
   std::vector<float> wirelength;
@@ -47,6 +53,7 @@ struct Relaxation {
     path_tree = std::move(other.path_tree);
     tree_path_offsets = std::move(other.tree_path_offsets);
     path_inc_offsets = std::move(other.path_inc_offsets);
+    trainable = std::move(other.trainable);
     wirelength = std::move(other.wirelength);
     turns = std::move(other.turns);
     incidence = other.incidence;
@@ -59,6 +66,7 @@ struct Relaxation {
   std::size_t path_count() const { return path_tree.size(); }
   std::size_t tree_count() const { return forest->trees().size(); }
   std::size_t subnet_count() const { return path_group_offsets.size() - 1; }
+  std::size_t logit_count() const { return path_count() + tree_count(); }
 
   static Relaxation build(const dag::DagForest& forest);
 

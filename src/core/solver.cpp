@@ -19,8 +19,9 @@ DgrSolver::DgrSolver(const dag::DagForest& forest, std::vector<float> capacities
       relax_(Relaxation::build(forest)),
       capacities_(std::move(capacities)),
       config_(config),
-      params_(relax_.path_count() + relax_.tree_count(), 0.0f),
-      adam_(params_.size(), ad::AdamConfig{config.learning_rate, 0.9, 0.999, 1e-8}),
+      params_(relax_.logit_count(), 0.0f),
+      adam_(params_.size(), relax_.trainable,
+            ad::AdamConfig{config.learning_rate, 0.9, 0.999, 1e-8}),
       rng_(config.seed) {
   if (capacities_.size() != static_cast<std::size_t>(forest.design().grid().edge_count())) {
     throw std::invalid_argument("DgrSolver: capacity vector size mismatch");
@@ -93,8 +94,16 @@ double DgrSolver::train_step(int iteration) {
                                     (static_cast<std::uint64_t>(noise_generation_) << 40));
     path_noise_.resize(np);
     tree_noise_.resize(nt);
-    for (float& g : path_noise_) g = static_cast<float>(noise_rng.gumbel());
-    for (float& g : tree_noise_) g = static_cast<float>(noise_rng.gumbel());
+    // One draw per candidate in [paths | trees] order, but only trainable
+    // logits pay for the logs: an inert logit's softmax is 1 whatever its
+    // noise. Draws past the last trainable logit are never observed.
+    std::size_t next = 0;
+    for (const std::int32_t i : relax_.trainable) {
+      const auto k = static_cast<std::size_t>(i);
+      for (; next < k; ++next) noise_rng.discard_gumbel();
+      (k < np ? path_noise_[k] : tree_noise_[k - np]) = static_cast<float>(noise_rng.gumbel());
+      next = k + 1;
+    }
   }
 
   // Steady-state iterations re-record the same graph shape into the reused
@@ -106,14 +115,17 @@ double DgrSolver::train_step(int iteration) {
   tape_.backward(fw.cost);
   peak_tape_bytes_ = std::max(peak_tape_bytes_, tape_.memory_bytes());
 
-  // Concatenate gradients and take one Adam step over all logits.
+  // Gather the trainable logits' gradients for one Adam step; every inert
+  // logit's gradient is exactly 0, so the norm below is the full one.
   std::vector<double>& grads = grads_;
-  grads.resize(params_.size());
+  grads.resize(relax_.trainable.size());
   {
-    const std::span<const double> gp = tape_.grad(fw.path_logits);
-    const std::span<const double> gt = tape_.grad(fw.tree_logits);
-    std::copy(gp.begin(), gp.end(), grads.begin());
-    std::copy(gt.begin(), gt.end(), grads.begin() + static_cast<std::ptrdiff_t>(np));
+    const double* gp = tape_.grad(fw.path_logits).data();
+    const double* gt = tape_.grad(fw.tree_logits).data();
+    for (std::size_t j = 0; j < grads.size(); ++j) {
+      const auto k = static_cast<std::size_t>(relax_.trainable[j]);
+      grads[j] = k < np ? gp[k] : gt[k - np];
+    }
   }
 
   double cost = fw.breakdown.total;
@@ -148,6 +160,8 @@ double DgrSolver::train_step(int iteration) {
 TrainStats DgrSolver::train() {
   DGR_TRACE_SCOPE("core.train");
   TrainStats stats;
+  stats.logits = params_.size();
+  stats.trainable_logits = relax_.trainable.size();
   util::Timer timer;
   if (config_.record_history) stats.cost_history.reserve(static_cast<std::size_t>(config_.iterations));
   // Telemetry capacity is reserved once, up front: the train loop must do
@@ -167,7 +181,9 @@ TrainStats DgrSolver::train() {
   bool restore_checkpoint = false;
   int it = 0;
   int steps_executed = 0;
-  while (it < config_.iterations) {
+  // An empty forest (no routable net) has no logits: it trains zero steps.
+  const int iterations = params_.empty() ? 0 : config_.iterations;
+  while (it < iterations) {
     if (config_.time_budget_seconds > 0.0 &&
         timer.seconds() >= config_.time_budget_seconds) {
       stats.status = Status(StatusCode::kStageTimeout,

@@ -2,7 +2,8 @@
 /// \file
 /// \brief The differentiable global router (Sections 4.3–4.5).
 ///
-/// Trainables: one logit per path candidate and one per tree candidate.
+/// Trainables: one logit per path candidate and one per tree candidate;
+/// only those in groups of two or more ever move (Relaxation::trainable).
 /// Each iteration builds the expectation of the Eq. (3) cost on an ad::Tape
 /// (Gumbel-softmax over groups -> coupled selection mass -> expected demand
 /// -> activation overflow + WL + via terms), back-propagates, and takes an
@@ -41,6 +42,8 @@ struct TrainStats {
   obs::ConvergenceSeries telemetry;
   std::size_t tape_bytes = 0;          ///< peak tape footprint ("GPU memory" proxy)
   int rollbacks = 0;                   ///< divergence rollbacks taken (health sentinel)
+  std::size_t logits = 0;              ///< path + tree logits
+  std::size_t trainable_logits = 0;    ///< logits in groups of two or more candidates
   /// OK on a clean run; kNumericDivergence when the rollback budget was
   /// exhausted, kStageTimeout when the wall-clock budget expired. On a
   /// non-OK status the solver's parameters are the best-so-far checkpoint,
@@ -68,7 +71,8 @@ class DgrSolver {
   /// Numeric-health verdict of the most recent train_step().
   bool last_step_finite() const { return last_step_finite_; }
 
-  /// L2 norm of the full parameter gradient of the most recent train_step().
+  /// L2 norm of the full parameter gradient of the most recent train_step()
+  /// (inert logits contribute exactly 0).
   double last_grad_norm() const { return last_grad_norm_; }
   /// Cost breakdown of the most recent train_step() (stochastic forward).
   const CostBreakdown& last_breakdown() const { return last_breakdown_; }
@@ -89,7 +93,8 @@ class DgrSolver {
   const DgrConfig& config() const { return config_; }
   const std::vector<float>& capacities() const { return capacities_; }
 
-  /// Direct logit access (tests / warm starts).
+  /// Direct logit access (tests / warm starts). Every write is seen by the
+  /// next forward pass, but training moves only Relaxation::trainable.
   std::vector<float>& logits() { return params_; }
   std::size_t path_logit_count() const { return relax_.path_count(); }
   std::size_t tree_logit_count() const { return relax_.tree_count(); }
@@ -125,7 +130,8 @@ class DgrSolver {
   /// Reused across train_step calls: reset() keeps the arena capacity, so
   /// steady-state iterations record the same graph with zero heap
   /// allocation. The noise/grad buffers below reach a fixed size after the
-  /// first step for the same reason.
+  /// first step for the same reason. The noise is written at trainable
+  /// logits only; grads_ holds one entry per Relaxation::trainable index.
   ad::Tape tape_;
   std::vector<float> path_noise_;
   std::vector<float> tree_noise_;

@@ -76,6 +76,8 @@ eval::RouteSolution DgrRouter::route(RoutingContext& ctx) {
   stats_.add_counter("iterations", static_cast<double>(train.iterations_run));
   stats_.add_counter("final_cost", train.final_cost.total);
   stats_.add_counter("path_candidates", static_cast<double>(forest.paths().size()));
+  stats_.add_counter("logits", static_cast<double>(train.logits));
+  stats_.add_counter("trainable_logits", static_cast<double>(train.trainable_logits));
   stats_.status = train.status;
   stats_.rollbacks = train.rollbacks;
   if (train.rollbacks > 0) {

@@ -58,11 +58,15 @@ double Rng::normal() {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
 }
 
-double Rng::gumbel() {
+double Rng::gumbel_uniform() {
   double u = uniform();
   while (u <= 1e-300) u = uniform();
-  return -std::log(-std::log(u));
+  return u;
 }
+
+double Rng::gumbel() { return -std::log(-std::log(gumbel_uniform())); }
+
+void Rng::discard_gumbel() { gumbel_uniform(); }
 
 Rng Rng::fork(std::uint64_t tag) const {
   // Mix all state words with the tag through splitmix to derive a child seed.

@@ -35,6 +35,11 @@ class Rng {
   /// Sample from the standard Gumbel(0,1) distribution: -log(-log(U)).
   double gumbel();
 
+  /// Advances the stream exactly as gumbel() would (same uniform draws),
+  /// without the two logs: a caller that needs only some samples of a
+  /// sequence keeps the rest of it unchanged.
+  void discard_gumbel();
+
   /// Derive an independent child stream; children with distinct tags are
   /// decorrelated from each other and from the parent.
   Rng fork(std::uint64_t tag) const;
@@ -49,6 +54,10 @@ class Rng {
   }
 
  private:
+  /// The uniform gumbel() transforms: redrawn while <= 1e-300 so both logs
+  /// stay finite.
+  double gumbel_uniform();
+
   std::uint64_t s_[4];
 };
 

@@ -108,14 +108,6 @@ TEST(SegmentSoftmax, StableUnderLargeLogits) {
   EXPECT_FALSE(std::isnan(tape.value(y)[0]));
 }
 
-TEST(SegmentSoftmax, SingletonGroupIsOne) {
-  Tape tape;
-  const NodeId x = tape.input({-7.3f});
-  const std::vector<std::int32_t> offsets{0, 1};
-  const NodeId y = segment_softmax(tape, x, offsets, 0.5f);
-  EXPECT_FLOAT_EQ(tape.value(y)[0], 1.0f);
-}
-
 TEST(SegmentSoftmax, RejectsBadArguments) {
   Tape tape;
   const NodeId x = tape.input({1.0f, 2.0f});
@@ -955,6 +947,149 @@ TEST(Simd, GradCheckPassesWithSimdEnabled) {
   const auto r = grad_check(f, x0, tape.grad(x), 1e-3, 2e-4, 1e-2);
   EXPECT_TRUE(r.ok) << "max_abs_err=" << r.max_abs_err
                     << " max_rel_err=" << r.max_rel_err;
+}
+
+// ---------------------------------------------------------------------------
+// One-element groups: the invariants behind DgrSolver's inert-logit skip
+// ---------------------------------------------------------------------------
+
+/// Temperatures from 1 down to DgrSolver::temperature_at's 1e-6 floor.
+constexpr float kSkipTemperatures[] = {1.0f, 0.3f, 1e-2f, 1e-4f, 1e-6f};
+
+/// Scalar mode always; the AVX2 kernels too when built with DGR_SIMD.
+std::vector<bool> simd_modes() {
+  return simd::compiled_in() ? std::vector<bool>{false, true} : std::vector<bool>{false};
+}
+
+/// Finite logits, finite Gumbel noise and arbitrary gradient weights.
+struct SkipInputs {
+  std::vector<float> x, noise, w_out, w_in;
+  explicit SkipInputs(std::size_t n, std::uint64_t seed) {
+    util::Rng rng(seed);
+    x = random_vec(rng, n, 3.0f);
+    for (std::size_t i = 0; i < n; ++i) {
+      noise.push_back(static_cast<float>(rng.gumbel()));
+      w_out.push_back(static_cast<float>(rng.uniform(-2.0, 2.0)));
+      w_in.push_back(static_cast<float>(rng.uniform(-2.0, 2.0)));
+    }
+  }
+};
+
+TEST(SegmentSoftmax, SingletonGroupIsOne) {
+  // For a finite logit l, a lone candidate's softmax is exp(l - l) / 1 = 1
+  // and its backward adds (gy - gy * 1) / t = +0: DgrSolver relies on both
+  // to skip the noise, softmax and Adam work of such logits bit for bit.
+  // Groups {0} {1,2} {3} {4} {5,6,7} {8}; the direct x term seeds grad(x)
+  // so "adds exactly 0" is checked, not just "is 0".
+  const std::vector<std::int32_t> offsets{0, 1, 3, 4, 5, 8, 9};
+  const std::size_t singles[] = {0, 3, 4, 8};
+  const SkipInputs in(9, 41);
+  for (const bool simd_on : simd_modes()) {
+    SimdGuard guard(simd_on);
+    for (const float t : kSkipTemperatures) {
+      for (const std::vector<float>* noise : {static_cast<const std::vector<float>*>(nullptr),
+                                              &in.noise}) {
+        Tape tape;
+        const NodeId x = tape.input(in.x);
+        const NodeId y = segment_softmax(tape, x, offsets, t, noise);
+        tape.backward(combine(
+            tape, {weighted_sum(tape, y, in.w_out), weighted_sum(tape, x, in.w_in)},
+            {1.0f, 1.0f}));
+        for (const std::size_t i : singles) {
+          const std::string where = "simd=" + std::to_string(simd_on) +
+                                    " t=" + std::to_string(t) +
+                                    " noise=" + std::to_string(noise != nullptr) +
+                                    " i=" + std::to_string(i);
+          const float l = (in.x[i] + (noise != nullptr ? in.noise[i] : 0.0f)) / t;
+          ASSERT_TRUE(std::isfinite(l)) << where;
+          EXPECT_EQ(std::exp(l - l), 1.0f) << where;
+          EXPECT_EQ(tape.value(y)[i], 1.0f) << where;
+          EXPECT_EQ(tape.grad(x)[i], static_cast<double>(in.w_in[i])) << where;
+        }
+        EXPECT_NEAR(tape.value(y)[1] + tape.value(y)[2], 1.0f, 1e-6f);
+      }
+    }
+  }
+  if (simd::compiled_in()) {
+    // The AVX2 path stages l - l = 0 and relies on the vector exp of 0.
+    std::vector<float> zeros(19, 0.0f);
+    simd::exp_sweep(zeros.data(), 3, 19);
+    for (std::size_t i = 3; i < zeros.size(); ++i) EXPECT_EQ(zeros[i], 1.0f) << i;
+  }
+}
+
+TEST(FusedSoftmaxDemand, OneElementGroupsAreExactlyOneAndAddZeroGradient) {
+  // Paths {0} {1,2} | {3} | {4} {5,6}; trees {0} {1,2}: one-element groups
+  // on both sides, next to multi-candidate ones, over a 3-edge incidence.
+  const std::vector<std::int32_t> p_groups{0, 1, 3, 4, 5, 7};
+  const std::vector<std::int32_t> q_groups{0, 1, 3};
+  const std::vector<std::int32_t> path_tree{0, 0, 0, 1, 2, 2, 2};
+  const std::vector<std::int32_t> tree_paths{0, 3, 4, 7};
+  const std::vector<std::uint32_t> fwd_off{0, 3, 5, 8};
+  const std::vector<std::int32_t> fwd_cols{0, 2, 5, 1, 4, 2, 3, 6};
+  const std::vector<float> fwd_w{1.0f, 1.0f, 1.0f, 1.0f, 1.0f, 0.5f, 1.0f, 1.0f};
+  const std::vector<std::uint32_t> bwd_off{0, 1, 2, 4, 5, 6, 7, 8};
+  const std::vector<std::int32_t> bwd_cols{0, 1, 0, 2, 2, 1, 0, 2};
+  const std::vector<float> bwd_w{1.0f, 1.0f, 1.0f, 0.5f, 1.0f, 1.0f, 1.0f, 1.0f};
+  const SparseIncidence inc{&fwd_off, &fwd_cols, &fwd_w, &bwd_off, &bwd_cols, &bwd_w};
+  const std::vector<float> wd{1.5f, -0.7f, 2.5f};
+  const std::size_t path_singles[] = {0, 3, 4};
+  const std::size_t tree_singles[] = {0};
+  const SkipInputs paths(7, 43);
+  const SkipInputs trees(3, 47);
+
+  for (const bool simd_on : simd_modes()) {
+    SimdGuard guard(simd_on);
+    for (const float t : kSkipTemperatures) {
+      for (const bool with_noise : {false, true}) {
+        Tape tape;
+        const NodeId xp = tape.input(paths.x);
+        const NodeId xq = tape.input(trees.x);
+        const FusedSelectionDemand sel = fused_softmax_demand(
+            tape, xp, xq, p_groups, q_groups, path_tree, tree_paths, inc, t,
+            with_noise ? &paths.noise : nullptr, with_noise ? &trees.noise : nullptr);
+        tape.backward(combine(tape,
+                              {weighted_sum(tape, sel.demand, wd),
+                               weighted_sum(tape, sel.eff, paths.w_out),
+                               weighted_sum(tape, xp, paths.w_in),
+                               weighted_sum(tape, xq, trees.w_in)},
+                              {1.0f, 1.0f, 1.0f, 1.0f}));
+        const std::string where = "simd=" + std::to_string(simd_on) +
+                                  " t=" + std::to_string(t) +
+                                  " noise=" + std::to_string(with_noise);
+        for (const std::size_t i : path_singles) {
+          EXPECT_EQ(tape.value(sel.p)[i], 1.0f) << where << " path " << i;
+          EXPECT_EQ(tape.grad(xp)[i], static_cast<double>(paths.w_in[i]))
+              << where << " path " << i;
+        }
+        for (const std::size_t i : tree_singles) {
+          EXPECT_EQ(tape.value(sel.q)[i], 1.0f) << where << " tree " << i;
+          EXPECT_EQ(tape.grad(xq)[i], static_cast<double>(trees.w_in[i]))
+              << where << " tree " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedSoftmaxDemand, ZeroGroupsIsALegalEmptyOp) {
+  // An empty forest: no paths, no trees, demand 0 on every edge.
+  const std::vector<std::int32_t> none{0};
+  const std::vector<std::int32_t> no_paths;
+  const std::vector<std::uint32_t> fwd_off{0, 0, 0};
+  const std::vector<std::uint32_t> bwd_off{0};
+  const std::vector<std::int32_t> cols;
+  const std::vector<float> w;
+  const SparseIncidence inc{&fwd_off, &cols, &w, &bwd_off, &cols, &w};
+  Tape tape;
+  const NodeId xp = tape.input(std::vector<float>{});
+  const NodeId xq = tape.input(std::vector<float>{});
+  const FusedSelectionDemand sel =
+      fused_softmax_demand(tape, xp, xq, none, none, no_paths, none, inc, 1.0f);
+  ASSERT_EQ(tape.size(sel.demand), 2u);
+  EXPECT_EQ(tape.value(sel.demand)[0], 0.0f);
+  tape.backward(weighted_sum(tape, sel.demand));
+  EXPECT_EQ(tape.size(segment_softmax(tape, xp, none, 1.0f)), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "ad/gradcheck.hpp"
 #include "ad/simd.hpp"
@@ -492,6 +495,111 @@ TEST(DgrSolver, ReusedTapeMatchesFreshTapeAcrossWorkerCounts) {
     }
   }
   util::set_worker_count(0);
+}
+
+TEST(DgrSolver, InertLogitSkipMatchesDenseReferenceLoop) {
+  // Bit parity of the inert-logit skip. A test-side loop draws Rng::gumbel
+  // noise for EVERY candidate from the solver's noise stream (fork of the
+  // seed by iteration), records the same fused ops, and takes a dense Adam
+  // step over EVERY logit; train_step, which draws logs and runs Adam only
+  // for trainable logits, must match it bit for bit.
+  design::IspdLikeParams p;
+  p.num_nets = 80;
+  p.grid_w = p.grid_h = 16;
+  const design::Design d = design::generate_ispd_like(p, 11);
+  const auto cap = d.capacities();
+  const dag::DagForest forest = dag::DagForest::build(d, {});
+  DgrConfig config = fast_config();
+  config.iterations = 40;
+  config.temperature_interval = 10;
+
+  const Relaxation r = Relaxation::build(forest);
+  auto group_sizes = [](const std::vector<std::int32_t>& offsets) {
+    std::pair<bool, bool> single_multi{false, false};
+    for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
+      (offsets[g + 1] - offsets[g] == 1 ? single_multi.first : single_multi.second) = true;
+    }
+    return single_multi;
+  };
+  ASSERT_EQ(group_sizes(r.path_group_offsets), std::make_pair(true, true));
+  ASSERT_EQ(group_sizes(r.tree_group_offsets), std::make_pair(true, true));
+
+  const float vscale = via_scale(d);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    util::set_worker_count(workers);
+    DgrSolver solver(forest, cap, config);
+    const Relaxation& rx = solver.relaxation();
+    const std::size_t np = solver.path_logit_count();
+    const std::size_t nt = solver.tree_logit_count();
+    std::vector<float> params = solver.logits();
+    ad::Adam adam(params.size(), ad::AdamConfig{config.learning_rate, 0.9, 0.999, 1e-8});
+    const util::Rng seed_rng(config.seed);
+    std::vector<float> path_noise(np);
+    std::vector<float> tree_noise(nt);
+    std::vector<double> grads(params.size());
+
+    for (int it = 0; it < config.iterations; ++it) {
+      util::Rng noise_rng = seed_rng.fork(0x6E015E ^ static_cast<std::uint64_t>(it));
+      for (float& g : path_noise) g = static_cast<float>(noise_rng.gumbel());
+      for (float& g : tree_noise) g = static_cast<float>(noise_rng.gumbel());
+      ad::Tape tape;
+      const ad::NodeId pl = tape.input(params.data(), np);
+      const ad::NodeId tl = tape.input(params.data() + np, nt);
+      const ad::FusedSelectionDemand sel = ad::fused_softmax_demand(
+          tape, pl, tl, rx.path_group_offsets, rx.tree_group_offsets, rx.path_tree,
+          rx.tree_path_offsets, rx.incidence, solver.temperature_at(it), &path_noise,
+          &tree_noise);
+      const ad::NodeId overflow = ad::fused_overflow_cost(
+          tape, sel.demand, cap, config.activation, config.activation_alpha);
+      const ad::NodeId wl = ad::weighted_sum(tape, sel.eff, rx.wirelength);
+      const ad::NodeId via = ad::weighted_sum(tape, sel.eff, rx.turns);
+      const ad::NodeId cost =
+          ad::combine(tape, {overflow, via, wl},
+                      {config.weight_overflow, config.weight_via * vscale,
+                       config.weight_wirelength});
+      tape.backward(cost);
+      std::copy(tape.grad(pl).begin(), tape.grad(pl).end(), grads.begin());
+      std::copy(tape.grad(tl).begin(), tape.grad(tl).end(),
+                grads.begin() + static_cast<std::ptrdiff_t>(np));
+      double grad_sq = 0.0;
+      for (const double g : grads) grad_sq += g * g;
+      adam.step(params, grads);
+
+      const std::string where = "workers=" + std::to_string(workers) + " iter=" +
+                                std::to_string(it);
+      EXPECT_EQ(solver.train_step(it), static_cast<double>(tape.value(cost)[0])) << where;
+      ASSERT_TRUE(solver.last_step_finite()) << where;
+      EXPECT_EQ(solver.last_breakdown().overflow, tape.value(overflow)[0]) << where;
+      EXPECT_EQ(solver.last_breakdown().wirelength, tape.value(wl)[0]) << where;
+      EXPECT_EQ(solver.last_breakdown().via,
+                static_cast<double>(vscale) * tape.value(via)[0])
+          << where;
+      EXPECT_EQ(solver.last_grad_norm(), std::sqrt(grad_sq)) << where;
+      ASSERT_EQ(std::memcmp(solver.logits().data(), params.data(),
+                            params.size() * sizeof(float)),
+                0)
+          << where;
+    }
+  }
+  util::set_worker_count(0);
+
+  // Inert logits never move under train(); trainable ones do.
+  DgrSolver solver(forest, cap, config);
+  const std::vector<float> init = solver.logits();
+  solver.train();
+  std::vector<bool> trainable(init.size(), false);
+  for (const std::int32_t k : solver.relaxation().trainable) {
+    trainable[static_cast<std::size_t>(k)] = true;
+  }
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < init.size(); ++i) {
+    if (trainable[i]) {
+      moved += solver.logits()[i] != init[i] ? 1 : 0;
+    } else {
+      EXPECT_EQ(std::memcmp(&solver.logits()[i], &init[i], sizeof(float)), 0) << i;
+    }
+  }
+  EXPECT_GT(moved, 0u);
 }
 
 TEST(DgrSolver, ArenaRegrowthIsZeroAfterWarmup) {

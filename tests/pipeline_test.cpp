@@ -217,6 +217,62 @@ TEST(Pipeline, DgrRunReportsPerStageTimesAndSolverBytes) {
   EXPECT_TRUE(r.solution.connects_all_pins());
 }
 
+TEST(Pipeline, DgrCountsTrainableLogits) {
+  // A logit is trainable iff its softmax group (a subnet's paths, a net's
+  // trees) has two or more candidates.
+  const design::Design d = small_design();
+  RoutingContext ctx(d);
+  Pipeline pipe(ctx);
+  const RouterOptions opts = fast_options();
+  const PipelineResult r = pipe.run("dgr", opts);
+  dag::ForestOptions fopts = opts.forest;
+  fopts.via_demand_beta = ctx.via_beta();
+  ASSERT_TRUE(ctx.has_forest(fopts));
+  const dag::DagForest& forest = ctx.forest(fopts);
+
+  std::size_t trainable = 0;
+  for (const dag::Subnet& s : forest.subnets()) {
+    const auto n = static_cast<std::size_t>(s.path_end - s.path_begin);
+    if (n >= 2) trainable += n;
+  }
+  const std::vector<std::int32_t>& trees = forest.net_tree_offsets();
+  for (std::size_t n = 0; n + 1 < trees.size(); ++n) {
+    const auto k = static_cast<std::size_t>(trees[n + 1] - trees[n]);
+    if (k >= 2) trainable += k;
+  }
+  const std::size_t logits = forest.paths().size() + forest.trees().size();
+  EXPECT_EQ(r.stats.counter("logits"), static_cast<double>(logits));
+  EXPECT_EQ(r.stats.counter("trainable_logits"), static_cast<double>(trainable));
+  EXPECT_GT(trainable, 0u);
+  EXPECT_LT(trainable, logits);
+}
+
+TEST(Pipeline, DgrOnDesignWithoutRoutableNetsIsOkAndEmpty) {
+  // Every net's pins share one g-cell, so the forest is empty. DGR trains
+  // zero steps and extracts an empty solution, like the other routers.
+  std::vector<design::Net> nets;
+  nets.push_back({"a", {{2, 2}, {2, 2}}});
+  nets.push_back({"b", {{5, 1}}});
+  nets.push_back({"c", {{0, 7}, {0, 7}, {0, 7}}});
+  const design::Design d("no_routable_nets", grid::GCellGrid::uniform(8, 8, 2, 2),
+                         std::move(nets));
+  ASSERT_TRUE(d.routable_nets().empty());
+  for (const char* name : {"dgr", "cugr2-lite", "sproute-lite", "lagrangian", "partitioned"}) {
+    RoutingContext ctx(d);
+    Pipeline pipe(ctx);
+    const PipelineResult r = pipe.run(name, fast_options());
+    EXPECT_TRUE(r.stats.status.ok()) << name << ": " << r.stats.status.to_string();
+    EXPECT_FALSE(r.stats.degraded) << name;
+    EXPECT_TRUE(r.solution.nets.empty()) << name;
+  }
+  RoutingContext ctx(d);
+  Pipeline pipe(ctx);
+  const PipelineResult r = pipe.run("dgr", fast_options());
+  EXPECT_EQ(r.stats.router, "dgr");
+  EXPECT_EQ(r.stats.counter("iterations"), 0.0);
+  EXPECT_EQ(r.stats.counter("logits"), 0.0);
+}
+
 TEST(Pipeline, StagePlanSkipsOptionalStages) {
   const design::Design d = small_design();
   RoutingContext ctx(d);
