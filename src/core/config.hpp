@@ -5,11 +5,11 @@
 /// Adam lr 0.3, 1000 iterations, initial temperature 1 scaled by 0.9 every
 /// 100 iterations, Gumbel noise on, top-p extraction.
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
 #include "ad/ops.hpp"
+#include "util/deadline.hpp"
 
 namespace dgr::core {
 
@@ -35,8 +35,6 @@ struct DgrConfig {
   std::uint64_t seed = 1;
   float init_logit_std = 0.5f;  ///< random logit initialisation scale
 
-  bool record_history = false;  ///< keep per-iteration cost curves
-
   /// Record the full convergence telemetry series (loss, overflow
   /// expectation, temperature, gradient norm, rollback events — the data
   /// behind the paper's Fig. 5/6 convergence plots) into
@@ -45,24 +43,18 @@ struct DgrConfig {
   bool record_telemetry = false;
 
   // ---- numeric health / fault tolerance (DESIGN.md §7) --------------------
-  /// Finite-check the loss and gradients every iteration *before* the Adam
-  /// step, so a NaN can never corrupt the optimizer moments. On a failed
-  /// check the solver rolls back to its best-so-far checkpoint, re-anneals
-  /// the temperature from there and replays with fresh (decorrelated) Gumbel
-  /// noise, up to `max_rollbacks` times; an exhausted budget ends training
-  /// with StatusCode::kNumericDivergence and the checkpoint parameters.
-  bool health_checks = true;
+  /// The loss and gradients are finite-checked every iteration *before* the
+  /// Adam step, so a NaN can never corrupt the optimizer moments. On a
+  /// failed check the solver rolls back to its best-so-far checkpoint,
+  /// re-anneals the temperature from there and replays with fresh
+  /// (decorrelated) Gumbel noise, up to `max_rollbacks` times; an exhausted
+  /// budget ends training with StatusCode::kNumericDivergence and the
+  /// checkpoint parameters.
   int max_rollbacks = 3;  ///< divergence rollback retry budget
-  /// Wall-clock budget for train() in seconds; 0 = unlimited. On expiry the
-  /// loop stops at the best-so-far checkpoint and reports
-  /// StatusCode::kStageTimeout (the pipeline's cooperative stage budget).
-  double time_budget_seconds = 0.0;
-  /// Optional external cancel flag, polled once per train iteration. When
-  /// it reads true the loop stops at the best-so-far checkpoint exactly as
-  /// a budget expiry (kStageTimeout). Owned by the caller (the serve
-  /// daemon's deadline watchdog sets it from another thread); must outlive
-  /// train(). nullptr = no external cancellation.
-  const std::atomic<bool>* cancel_flag = nullptr;
+  /// Polled once per train iteration. On expiry the loop stops at the
+  /// best-so-far checkpoint and reports StatusCode::kStageTimeout. The
+  /// default never expires.
+  util::Deadline deadline;
 };
 
 /// One-line description for logs/bench labels.

@@ -149,7 +149,7 @@ double DgrSolver::train_step(int iteration) {
   last_grad_norm_ = std::sqrt(grad_sq);
   last_breakdown_ = fw.breakdown;
   last_step_finite_ = std::isfinite(cost) && std::isfinite(grad_acc);
-  if (config_.health_checks && !last_step_finite_) {
+  if (!last_step_finite_) {
     return cost;  // skip the update; train() decides whether to roll back
   }
 
@@ -163,7 +163,6 @@ TrainStats DgrSolver::train() {
   stats.logits = params_.size();
   stats.trainable_logits = relax_.trainable.size();
   util::Timer timer;
-  if (config_.record_history) stats.cost_history.reserve(static_cast<std::size_t>(config_.iterations));
   // Telemetry capacity is reserved once, up front: the train loop must do
   // no per-step heap allocation (pushes past this capacity are counted by
   // the obs.convergence.unreserved_growth metric and asserted zero in tests).
@@ -184,19 +183,10 @@ TrainStats DgrSolver::train() {
   // An empty forest (no routable net) has no logits: it trains zero steps.
   const int iterations = params_.empty() ? 0 : config_.iterations;
   while (it < iterations) {
-    if (config_.time_budget_seconds > 0.0 &&
-        timer.seconds() >= config_.time_budget_seconds) {
+    if (config_.deadline.expired()) {
       stats.status = Status(StatusCode::kStageTimeout,
-                            "train: wall-clock budget exhausted at iteration " +
-                                std::to_string(it) + "/" + std::to_string(config_.iterations));
-      restore_checkpoint = best.cost < std::numeric_limits<double>::infinity();
-      break;
-    }
-    if (config_.cancel_flag != nullptr &&
-        config_.cancel_flag->load(std::memory_order_relaxed)) {
-      stats.status = Status(StatusCode::kStageTimeout,
-                            "train: cancelled by deadline watchdog at iteration " +
-                                std::to_string(it) + "/" + std::to_string(config_.iterations));
+                            "train: deadline expired at iteration " + std::to_string(it) +
+                                "/" + std::to_string(config_.iterations));
       restore_checkpoint = best.cost < std::numeric_limits<double>::infinity();
       break;
     }
@@ -204,7 +194,7 @@ TrainStats DgrSolver::train() {
     const double cost = train_step(it);
     ++steps_executed;
 
-    if (config_.health_checks && !last_step_finite_) {
+    if (!last_step_finite_) {
       // Divergence: the sentinel already kept the Adam state clean; roll the
       // parameters back to the checkpoint, clear the (possibly stale)
       // moments, and replay from there with fresh noise. Resuming at the
@@ -225,9 +215,6 @@ TrainStats DgrSolver::train() {
       params_ = best.params;
       adam_.reset();
       ++noise_generation_;
-      if (config_.record_history) {
-        stats.cost_history.resize(static_cast<std::size_t>(best.next_iteration));
-      }
       if (config_.record_telemetry) {
         // Rewind the kept trajectory; the rollback event itself survives.
         stats.telemetry.truncate(static_cast<std::size_t>(best.next_iteration));
@@ -237,7 +224,6 @@ TrainStats DgrSolver::train() {
       continue;
     }
 
-    if (config_.record_history) stats.cost_history.push_back(cost);
     if (config_.record_telemetry) {
       stats.telemetry.push(
           {it, cost, last_breakdown_.overflow, temperature_at(it), last_grad_norm_});

@@ -34,18 +34,17 @@ struct TrainStats {
   int iterations_run = 0;              ///< gradient steps executed (incl. replays)
   double train_seconds = 0.0;
   CostBreakdown final_cost;            ///< noise-free cost at final temperature
-  std::vector<double> cost_history;    ///< per-iteration training cost (if recorded)
   /// Convergence telemetry (when DgrConfig::record_telemetry): loss,
   /// overflow expectation, temperature, gradient norm per kept iteration
-  /// plus rollback events. Pre-reserved; rewound on rollback like
-  /// cost_history so samples align with the kept trajectory.
+  /// plus rollback events. Pre-reserved; rewound on rollback so samples
+  /// align with the kept trajectory.
   obs::ConvergenceSeries telemetry;
   std::size_t tape_bytes = 0;          ///< peak tape footprint ("GPU memory" proxy)
   int rollbacks = 0;                   ///< divergence rollbacks taken (health sentinel)
   std::size_t logits = 0;              ///< path + tree logits
   std::size_t trainable_logits = 0;    ///< logits in groups of two or more candidates
   /// OK on a clean run; kNumericDivergence when the rollback budget was
-  /// exhausted, kStageTimeout when the wall-clock budget expired. On a
+  /// exhausted, kStageTimeout when DgrConfig::deadline expired. On a
   /// non-OK status the solver's parameters are the best-so-far checkpoint,
   /// so extract() still yields the last healthy solution.
   Status status;
@@ -62,10 +61,9 @@ class DgrSolver {
   TrainStats train();
 
   /// One gradient step at the given iteration index (exposed for tests and
-  /// custom schedules). Returns the (stochastic) training cost. When
-  /// config().health_checks is on and the loss or gradients are non-finite,
-  /// the Adam update is skipped (the optimizer state stays clean) and
-  /// last_step_finite() reports false.
+  /// custom schedules). Returns the (stochastic) training cost. When the
+  /// loss or gradients are non-finite, the Adam update is skipped (the
+  /// optimizer state stays clean) and last_step_finite() reports false.
   double train_step(int iteration);
 
   /// Numeric-health verdict of the most recent train_step().

@@ -45,6 +45,9 @@ struct ForestOptions {
   bool adaptive_expansion = false;
   float adaptive_threshold = 0.8f;
   int adaptive_z_samples = 3;
+
+  /// Field-wise; RoutingContext::forest() rebuilds on any difference.
+  bool operator==(const ForestOptions&) const = default;
 };
 
 struct TreeCandidate {

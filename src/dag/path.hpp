@@ -43,6 +43,8 @@ struct PathEnumOptions {
   /// overload below.
   int c_samples = 0;
   int c_detour = 1;
+
+  bool operator==(const PathEnumOptions&) const = default;
 };
 
 /// Enumerates pattern-path candidates between a and b:

@@ -35,6 +35,8 @@ struct TreeCandidateOptions {
   double salt_epsilon = 0.5;       ///< SALT shallowness slack
   int shift_window = 2;            ///< Steiner-node search radius (cells)
   rsmt::RsmtOptions rsmt;
+
+  bool operator==(const TreeCandidateOptions&) const = default;
 };
 
 class TreeCandidateGenerator {

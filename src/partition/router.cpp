@@ -123,10 +123,7 @@ eval::RouteSolution PartitionedRouter::route(pipeline::RoutingContext& ctx) {
             copts.via_beta = ctx.via_beta();
             copts.seed = mix_seed(ctx.seed(), r);
             pipeline::RoutingContext subctx(sub, std::move(copts));
-            subctx.set_cancel_flag(ctx.cancel_flag());
-            if (ctx.stage_budget_armed()) {
-              subctx.set_stage_budget(ctx.stage_budget_remaining());
-            }
+            subctx.set_deadline(ctx.deadline());
             const std::unique_ptr<pipeline::Router> leaf =
                 pipeline::make_router(config_.region_router, region_options_);
             if (leaf == nullptr) {
@@ -223,10 +220,7 @@ eval::RouteSolution PartitionedRouter::route(pipeline::RoutingContext& ctx) {
       copts.via_beta = ctx.via_beta();
       copts.seed = mix_seed(ctx.seed(), regions + 1);
       pipeline::RoutingContext crossctx(cross_design, std::move(copts));
-      crossctx.set_cancel_flag(ctx.cancel_flag());
-      if (ctx.stage_budget_armed()) {
-        crossctx.set_stage_budget(ctx.stage_budget_remaining());
-      }
+      crossctx.set_deadline(ctx.deadline());
       // The cross pass runs serially on the full grid, so it is kept cheap:
       // pattern routing over the merged congestion only, no per-net maze
       // escapes — the maze-refine reconcile below repairs any overflow it

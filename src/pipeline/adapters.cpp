@@ -1,6 +1,5 @@
 #include "pipeline/adapters.hpp"
 
-#include <algorithm>
 #include <new>
 #include <utility>
 
@@ -18,16 +17,6 @@ namespace {
 void sync_demand(RoutingContext& ctx, const eval::RouteSolution& sol) {
   ctx.reset_demand();
   ctx.commit(sol);
-}
-
-/// Tightest of the engine's own budget and the context's armed stage
-/// budget. Returns 0 (= unlimited) when neither constrains the run; an
-/// already-expired stage budget maps to an epsilon so the engine stops at
-/// its first deadline poll instead of running unbounded.
-double effective_budget(const RoutingContext& ctx, double own_budget) {
-  if (!ctx.stage_budget_armed()) return own_budget;
-  const double remaining = std::max(ctx.stage_budget_remaining(), 1e-9);
-  return own_budget > 0.0 ? std::min(own_budget, remaining) : remaining;
 }
 
 }  // namespace
@@ -50,11 +39,8 @@ eval::RouteSolution DgrRouter::route(RoutingContext& ctx) {
   const dag::DagForest& forest = ctx.forest(fopts);
   stats_.add_stage("forest", timer.seconds());
 
-  // The stage budget covers the whole route stage: whatever the forest
-  // build consumed comes out of the solver's training budget.
   core::DgrConfig config = config_;
-  config.time_budget_seconds = effective_budget(ctx, config.time_budget_seconds);
-  config.cancel_flag = ctx.cancel_flag();
+  config.deadline = ctx.deadline();
 
   core::DgrSolver solver(forest, ctx.capacities(), config);
   timer.reset();
@@ -101,8 +87,7 @@ eval::RouteSolution Cugr2Router::route(RoutingContext& ctx) {
   reset_stats();
   routers::Cugr2LiteOptions opts = options_;
   opts.via_beta = ctx.via_beta();
-  opts.time_budget_seconds = effective_budget(ctx, opts.time_budget_seconds);
-  opts.cancel_flag = ctx.cancel_flag();
+  opts.deadline = ctx.deadline();
   routers::Cugr2Lite router(ctx.design(), ctx.capacities(), opts);
   routers::Cugr2LiteStats rs;
   eval::RouteSolution sol = router.route(&rs, ctx.warm_start());
@@ -110,7 +95,7 @@ eval::RouteSolution Cugr2Router::route(RoutingContext& ctx) {
   stats_.add_counter("rounds", static_cast<double>(rs.rounds_run));
   stats_.add_counter("nets_rerouted", static_cast<double>(rs.nets_rerouted));
   stats_.add_counter("warm_started", ctx.warm_start() != nullptr ? 1.0 : 0.0);
-  // A budget stop still returns the best whole snapshot; the solution is
+  // A deadline stop still returns the best whole snapshot; the solution is
   // usable but the refinement was cut short, so mark it degraded.
   stats_.degraded = rs.timed_out;
   sync_demand(ctx, sol);
@@ -128,8 +113,7 @@ eval::RouteSolution SpRouteRouter::route(RoutingContext& ctx) {
   reset_stats();
   routers::SpRouteLiteOptions opts = options_;
   opts.via_beta = ctx.via_beta();
-  opts.time_budget_seconds = effective_budget(ctx, opts.time_budget_seconds);
-  opts.cancel_flag = ctx.cancel_flag();
+  opts.deadline = ctx.deadline();
   routers::SpRouteLite router(ctx.design(), ctx.capacities(), opts);
   routers::SpRouteLiteStats rs;
   eval::RouteSolution sol = router.route(&rs, ctx.warm_start());
@@ -154,12 +138,14 @@ eval::RouteSolution LagrangianPipelineRouter::route(RoutingContext& ctx) {
   reset_stats();
   routers::LagrangianOptions opts = options_;
   opts.via_beta = ctx.via_beta();
+  opts.deadline = ctx.deadline();
   routers::LagrangianRouter router(ctx.design(), ctx.capacities(), opts);
   routers::LagrangianStats rs;
   eval::RouteSolution sol = router.route(&rs);
   stats_.add_stage("route", rs.route_seconds);
   stats_.add_counter("rounds", static_cast<double>(rs.rounds_run));
   stats_.add_counter("final_step", rs.final_step);
+  stats_.degraded = rs.timed_out;
   sync_demand(ctx, sol);
   return sol;
 }

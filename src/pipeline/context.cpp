@@ -1,40 +1,8 @@
 #include "pipeline/context.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <utility>
 
 namespace dgr::pipeline {
-
-namespace {
-
-bool same_options(const rsmt::RsmtOptions& a, const rsmt::RsmtOptions& b) {
-  return a.partition_threshold == b.partition_threshold &&
-         a.one_steiner.max_candidates == b.one_steiner.max_candidates &&
-         a.one_steiner.max_steiner_points == b.one_steiner.max_steiner_points;
-}
-
-bool same_options(const dag::TreeCandidateOptions& a, const dag::TreeCandidateOptions& b) {
-  return a.congestion_shifted == b.congestion_shifted &&
-         a.trunk_topology == b.trunk_topology && a.salt_topology == b.salt_topology &&
-         a.salt_epsilon == b.salt_epsilon && a.shift_window == b.shift_window &&
-         same_options(a.rsmt, b.rsmt);
-}
-
-bool same_options(const dag::PathEnumOptions& a, const dag::PathEnumOptions& b) {
-  return a.z_samples == b.z_samples && a.c_samples == b.c_samples &&
-         a.c_detour == b.c_detour;
-}
-
-bool same_options(const dag::ForestOptions& a, const dag::ForestOptions& b) {
-  return same_options(a.tree, b.tree) && same_options(a.paths, b.paths) &&
-         a.via_demand_beta == b.via_demand_beta && a.parallel_build == b.parallel_build &&
-         a.adaptive_expansion == b.adaptive_expansion &&
-         a.adaptive_threshold == b.adaptive_threshold &&
-         a.adaptive_z_samples == b.adaptive_z_samples;
-}
-
-}  // namespace
 
 RoutingContext::RoutingContext(const design::Design& design, ContextOptions options)
     : design_(&design),
@@ -65,20 +33,10 @@ void RoutingContext::clear_warm_start() {
   has_warm_start_ = false;
 }
 
-void RoutingContext::set_stage_budget(double seconds) {
-  stage_budget_seconds_ = seconds > 0.0 ? seconds : 0.0;
-  stage_timer_.reset();
-}
-
-double RoutingContext::stage_budget_remaining() const {
-  if (!stage_budget_armed()) return std::numeric_limits<double>::infinity();
-  return std::max(0.0, stage_budget_seconds_ - stage_timer_.seconds());
-}
-
 const dag::DagForest& RoutingContext::forest(const dag::ForestOptions& options) {
   dag::ForestOptions effective = options;
   effective.via_demand_beta = options_.via_beta;
-  if (forest_ == nullptr || !same_options(forest_options_, effective)) {
+  if (forest_ == nullptr || forest_options_ != effective) {
     forest_ = std::make_unique<dag::DagForest>(dag::DagForest::build(*design_, effective));
     forest_options_ = effective;
   }
@@ -88,7 +46,7 @@ const dag::DagForest& RoutingContext::forest(const dag::ForestOptions& options) 
 bool RoutingContext::has_forest(const dag::ForestOptions& options) const {
   dag::ForestOptions effective = options;
   effective.via_demand_beta = options_.via_beta;
-  return forest_ != nullptr && same_options(forest_options_, effective);
+  return forest_ != nullptr && forest_options_ == effective;
 }
 
 eval::Metrics RoutingContext::evaluate(const eval::RouteSolution& sol) const {

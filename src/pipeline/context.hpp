@@ -16,7 +16,6 @@
 /// composition (e.g. DGR -> maze refine, SPRoute -> CUGR2 RRR) both hang
 /// off this hook.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -26,8 +25,8 @@
 #include "eval/metrics.hpp"
 #include "eval/solution.hpp"
 #include "grid/demand_map.hpp"
+#include "util/deadline.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace dgr::pipeline {
 
@@ -75,29 +74,14 @@ class RoutingContext {
   }
   void clear_warm_start();
 
-  // ---- stage budget (cooperative deadline) ---------------------------------
-  /// Arms a wall-clock budget for the stage about to run. Routers poll
-  /// stage_budget_remaining() and stop cooperatively (DGR clamps its train
-  /// budget, the baselines check between rounds); the Pipeline arms this
-  /// from PipelineOptions::budgets before the route stage and clears it
-  /// after. `seconds` <= 0 disarms.
-  void set_stage_budget(double seconds);
-  void clear_stage_budget() { stage_budget_seconds_ = 0.0; }
-  bool stage_budget_armed() const { return stage_budget_seconds_ > 0.0; }
-  /// Seconds left of the armed budget (>= 0); +inf when disarmed.
-  double stage_budget_remaining() const;
-
-  /// Arms an external cooperative cancel flag for the stage about to run.
-  /// Routers poll it at their budget checkpoints (DGR per train iteration,
-  /// the baselines between rounds) and stop at the best-so-far state as if
-  /// the wall-clock budget expired. The flag is owned by the caller (the
-  /// serve daemon's deadline watchdog sets it from another thread) and must
-  /// outlive the stage; nullptr disarms.
-  void set_cancel_flag(const std::atomic<bool>* flag) { cancel_flag_ = flag; }
-  const std::atomic<bool>* cancel_flag() const { return cancel_flag_; }
-  bool cancel_requested() const {
-    return cancel_flag_ != nullptr && cancel_flag_->load(std::memory_order_relaxed);
-  }
+  // ---- stop signal ---------------------------------------------------------
+  /// When every route stage run on this context must stop. The adapters
+  /// stamp it into their engine options (DGR stops at its best checkpoint
+  /// with kStageTimeout, the baselines after their initial pass, marked
+  /// degraded); the pipeline's fallback router sees the same deadline, and
+  /// partition sub-contexts copy it. The default never expires.
+  void set_deadline(util::Deadline deadline) { deadline_ = deadline; }
+  const util::Deadline& deadline() const { return deadline_; }
 
   // ---- DAG forest cache ----------------------------------------------------
   /// The DAG forest for this design, built on first use and cached; a call
@@ -126,9 +110,7 @@ class RoutingContext {
   bool has_warm_start_ = false;
   std::unique_ptr<dag::DagForest> forest_;
   dag::ForestOptions forest_options_;
-  double stage_budget_seconds_ = 0.0;
-  util::Timer stage_timer_;
-  const std::atomic<bool>* cancel_flag_ = nullptr;
+  util::Deadline deadline_;
 };
 
 }  // namespace dgr::pipeline

@@ -80,11 +80,8 @@ PipelineResult Pipeline::run_stages(Router& router, const StagePlan& plan) {
   obs::metrics().counter("pipeline.runs").add(1);
   PipelineResult result;
 
-  // ---- route stage: budgeted and exception-hardened -----------------------
+  // ---- route stage: exception-hardened ------------------------------------
   util::Timer timer;
-  if (options_.budgets.route_seconds > 0.0) {
-    ctx_->set_stage_budget(options_.budgets.route_seconds);
-  }
   Status route_status;
   try {
     DGR_TRACE_SCOPE("pipeline.route_total");
@@ -104,7 +101,6 @@ PipelineResult Pipeline::run_stages(Router& router, const StagePlan& plan) {
     route_status =
         Status(StatusCode::kInternal, std::string(router.name()) + ": " + e.what());
   }
-  ctx_->clear_stage_budget();
   result.stats.router = std::string(router.name());
   result.stats.status = route_status;
   // Distinct from the adapters' engine-internal "route" stage so

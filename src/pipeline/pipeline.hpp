@@ -34,12 +34,9 @@ struct StagePlan {
   bool layer_assign = true;   ///< run DP layer assignment (3D metrics)
 };
 
-/// Route-stage fault tolerance: wall-clock budget and degraded fallback.
+/// Route-stage fault tolerance: degraded fallback. When the route stage
+/// stops is the context's deadline (RoutingContext::set_deadline).
 struct StageBudgets {
-  /// Wall-clock budget for the route stage in seconds; 0 = unlimited.
-  /// Routers poll the armed budget cooperatively (DGR clamps its training
-  /// budget, the baselines stop between rounds).
-  double route_seconds = 0.0;
   /// Registry name to fall back to when the route stage fails with a
   /// degradable status (timeout, divergence, resource exhaustion, internal
   /// error, injected fault). Empty disables degradation: the typed error is
@@ -59,7 +56,7 @@ struct StageBudgets {
 struct PipelineOptions {
   post::MazeRefineOptions refine;   ///< maze_refine stage parameters
   post::LayerAssignOptions layers;  ///< layer_assign stage parameters
-  StageBudgets budgets;             ///< route-stage budget + degradation
+  StageBudgets budgets;             ///< route-stage degradation
   RouterOptions fallback_options;   ///< options for the fallback router
   /// Post-route validation gate: per-net geometry/connectivity checks plus
   /// demand accounting against the live DemandMap; broken nets are repaired

@@ -137,13 +137,7 @@ RouteSolution Cugr2Lite::route(Cugr2LiteStats* stats, const RouteSolution* warm_
   bool timed_out = false;
   int round = 0;
   for (; round < options_.rrr_rounds; ++round) {
-    if (options_.time_budget_seconds > 0.0 &&
-        timer.seconds() >= options_.time_budget_seconds) {
-      timed_out = true;
-      break;
-    }
-    if (options_.cancel_flag != nullptr &&
-        options_.cancel_flag->load(std::memory_order_relaxed)) {
+    if (options_.deadline.expired()) {
       timed_out = true;
       break;
     }

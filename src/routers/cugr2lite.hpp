@@ -10,12 +10,11 @@
 // Being sequential, it optimises one net at a time — exactly the local-view
 // weakness DGR's concurrent optimisation addresses.
 
-#include <atomic>
-
 #include "dag/path.hpp"
 #include "design/design.hpp"
 #include "eval/solution.hpp"
 #include "rsmt/builder.hpp"
+#include "util/deadline.hpp"
 
 namespace dgr::routers {
 
@@ -29,21 +28,17 @@ struct Cugr2LiteOptions {
   dag::PathEnumOptions paths;    ///< L-only by default, Z optional
   bool maze_fallback = true;     ///< maze-reroute stubborn nets in last rounds
   rsmt::RsmtOptions rsmt;
-  /// Cooperative wall-clock budget (0 = unlimited): checked between RRR
-  /// rounds; the initial pass always completes so the returned solution is
-  /// whole. On expiry `timed_out` is set and the best snapshot is returned.
-  double time_budget_seconds = 0.0;
-  /// Optional external cancel flag, polled at the same between-round
-  /// checkpoints as the budget (caller-owned; the serve daemon's watchdog
-  /// sets it from another thread). Reads-true behaves as a budget expiry.
-  const std::atomic<bool>* cancel_flag = nullptr;
+  /// Polled between RRR rounds; the initial pass always completes so the
+  /// returned solution is whole. On expiry `timed_out` is set and the best
+  /// snapshot is returned.
+  util::Deadline deadline;
 };
 
 struct Cugr2LiteStats {
   int rounds_run = 0;
   std::int64_t nets_rerouted = 0;
   double route_seconds = 0.0;
-  bool timed_out = false;  ///< RRR stopped early on the time budget
+  bool timed_out = false;  ///< RRR stopped early on the deadline
 };
 
 class Cugr2Lite {

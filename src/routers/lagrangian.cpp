@@ -48,9 +48,14 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
   std::int64_t best_over = std::numeric_limits<std::int64_t>::max();
   std::int64_t best_wl = std::numeric_limits<std::int64_t>::max();
 
+  bool timed_out = false;
   int round = 0;
   double step = options_.step0;
   for (; round < options_.rounds; ++round) {
+    if (round > 0 && options_.deadline.expired()) {
+      timed_out = true;
+      break;
+    }
     // 1. Shortest priced route per sub-net (independent => "concurrent" in
     //    the dual sense: no net sees another's demand, only the prices).
     grid::DemandMap demand(grid);
@@ -126,6 +131,10 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
     RouteSolution repaired_best = best;
     auto repaired_score = snapshot_score();
     for (int r = 0; r < options_.repair_rounds; ++r) {
+      if (options_.deadline.expired()) {
+        timed_out = true;
+        break;
+      }
       bool changed = false;
       for (NetRoute& net : best.nets) {
         bool over = false;
@@ -201,6 +210,7 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
     stats->rounds_run = round;
     stats->route_seconds = timer.seconds();
     stats->final_step = step;
+    stats->timed_out = timed_out;
   }
   return best;
 }

@@ -13,6 +13,7 @@
 #include "design/design.hpp"
 #include "eval/solution.hpp"
 #include "rsmt/builder.hpp"
+#include "util/deadline.hpp"
 
 namespace dgr::routers {
 
@@ -24,12 +25,17 @@ struct LagrangianOptions {
   bool maze_paths = true;     ///< price paths by maze search (else L/Z only)
   dag::PathEnumOptions paths;
   rsmt::RsmtOptions rsmt;
+  /// Polled before every subgradient round after the first and before every
+  /// repair pass; round 0 always completes so the returned solution is
+  /// whole. On expiry `timed_out` is set and the best solution is returned.
+  util::Deadline deadline;
 };
 
 struct LagrangianStats {
   int rounds_run = 0;
   double route_seconds = 0.0;
   double final_step = 0.0;
+  bool timed_out = false;  ///< rounds or repair stopped early on the deadline
 };
 
 class LagrangianRouter {

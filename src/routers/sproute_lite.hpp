@@ -9,10 +9,9 @@
 // Soft capacity makes edges expensive *before* they saturate, which is the
 // detailed-routability device SPRoute 2.0 adds over plain PathFinder.
 
-#include <atomic>
-
 #include "design/design.hpp"
 #include "eval/solution.hpp"
+#include "util/deadline.hpp"
 
 namespace dgr::routers {
 
@@ -23,21 +22,16 @@ struct SpRouteLiteOptions {
   double history_step = 1.0;    ///< history increment on overflowed edges
   double history_factor = 2.0;  ///< history multiplier in the cost
   double soft_capacity = 0.9;   ///< fraction of cap where cost starts rising
-  /// Cooperative wall-clock budget (0 = unlimited): checked between
-  /// negotiation rounds; the initial pass always completes so the returned
-  /// solution is whole. On expiry `timed_out` is set.
-  double time_budget_seconds = 0.0;
-  /// Optional external cancel flag, polled at the same between-round
-  /// checkpoints as the budget (caller-owned; the serve daemon's watchdog
-  /// sets it from another thread). Reads-true behaves as a budget expiry.
-  const std::atomic<bool>* cancel_flag = nullptr;
+  /// Polled between negotiation rounds; the initial pass always completes
+  /// so the returned solution is whole. On expiry `timed_out` is set.
+  util::Deadline deadline;
 };
 
 struct SpRouteLiteStats {
   int rounds_run = 0;
   std::int64_t reroutes = 0;
   double route_seconds = 0.0;
-  bool timed_out = false;  ///< negotiation stopped early on the time budget
+  bool timed_out = false;  ///< negotiation stopped early on the deadline
 };
 
 class SpRouteLite {

@@ -19,6 +19,8 @@ namespace dgr::rsmt {
 struct RsmtOptions {
   std::size_t partition_threshold = 16;  ///< max pins handled by 1-Steiner
   OneSteinerOptions one_steiner;
+
+  bool operator==(const RsmtOptions&) const = default;
 };
 
 class RsmtBuilder {

@@ -16,6 +16,8 @@ struct OneSteinerOptions {
   std::size_t max_candidates = 512;
   /// Cap on added Steiner points (n-2 is the theoretical maximum).
   std::size_t max_steiner_points = 64;
+
+  bool operator==(const OneSteinerOptions&) const = default;
 };
 
 SteinerTree iterated_one_steiner(const std::vector<Point>& pins,

@@ -5,7 +5,7 @@
 /// A bounded lock-free ring of fixed-size per-request summaries. Every
 /// response appends one record on its way out; the ring overwrites its
 /// oldest lap, so at any moment it holds the last `capacity` requests. On
-/// an INTERNAL response, a watchdog cancellation, or shutdown the server
+/// an INTERNAL response, a cancelled request, or shutdown the server
 /// dumps the ring as a `dgr-flight-v1` JSON artifact — enough context
 /// (status, latency, retries, degradation, fault sites fired, queue depth
 /// at admission) to reconstruct what the daemon was doing when it broke,
@@ -44,7 +44,9 @@ struct FlightRecord {
   std::uint32_t queue_depth = 0;  ///< depth observed at admission
   std::uint32_t fault_fires = 0;  ///< fires attributed to this request
   bool degraded = false;  ///< fallback router produced the response
-  bool cancelled = false;  ///< cancel flag was raised (watchdog or shutdown)
+  /// The request's deadline (its time limit or a cancelling shutdown) had
+  /// expired when its handler returned.
+  bool cancelled = false;
 
   void set_id(std::string_view v);
   void set_op(std::string_view v);
@@ -71,8 +73,8 @@ class FlightRecorder {
   std::uint64_t dumps() const { return dumps_.load(std::memory_order_acquire); }
 
   /// The ring as a `dgr-flight-v1` document, oldest record first. `reason`
-  /// names the trigger: "internal", "watchdog_cancel", "shutdown" (tests
-  /// use "manual").
+  /// names the trigger: "internal", "cancelled", "shutdown" (tests use
+  /// "manual").
   obs::json::Value to_json(std::string_view reason) const;
 
   /// Writes to_json(reason) to `path` (serialised against concurrent

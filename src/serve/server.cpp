@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -128,7 +129,6 @@ void Server::start() {
   for (int i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  watchdog_ = std::thread([this] { watchdog_loop(); });
   if (options_.metrics_interval_s > 0.0 &&
       (!options_.metrics_snapshot_path.empty() || !options_.prometheus_path.empty())) {
     exporter_ = std::thread([this] { exporter_loop(); });
@@ -211,8 +211,7 @@ void Server::record_flight(const Job& job, const Response& response, double late
   rec.latency_ms = latency_ms;
   rec.attempts = job.attempts;
   rec.degraded = job.degraded;
-  rec.cancelled =
-      job.cancel != nullptr && job.cancel->load(std::memory_order_relaxed);
+  rec.cancelled = job.cancelled;
   rec.queue_depth = job.queue_depth_at_admission;
   rec.set_fault_sites(util::fault::current_fired_sites());
   flight_.record(rec);
@@ -220,7 +219,7 @@ void Server::record_flight(const Job& job, const Response& response, double late
   if (response.status.code() == StatusCode::kInternal) {
     flight_.dump(options_.flight_path, "internal");
   } else if (rec.cancelled) {
-    flight_.dump(options_.flight_path, "watchdog_cancel");
+    flight_.dump(options_.flight_path, "cancelled");
   }
 }
 
@@ -288,14 +287,12 @@ void Server::submit(const std::string& line, Sink sink) {
   // Data-plane ops go through admission control into the bounded queue.
   const double deadline_ms =
       req.deadline_ms > 0.0 ? req.deadline_ms : options_.default_deadline_ms;
-  if (deadline_ms > 0.0) {
-    job.has_deadline = true;
-    job.deadline = job.submitted + std::chrono::duration_cast<
-                                       std::chrono::steady_clock::duration>(
-                                       std::chrono::duration<double, std::milli>(
-                                           deadline_ms));
-  }
-  job.cancel = std::make_shared<std::atomic<bool>>(false);
+  const auto at = deadline_ms > 0.0
+                      ? job.submitted +
+                            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                                std::chrono::duration<double, std::milli>(deadline_ms))
+                      : std::chrono::steady_clock::time_point::max();
+  job.deadline = util::Deadline(at, &cancel_all_);
   admit(std::move(job));
 }
 
@@ -397,19 +394,6 @@ void Server::export_artifacts() {
   }
 }
 
-void Server::watchdog_loop() {
-  const auto poll = std::chrono::duration<double, std::milli>(
-      options_.watchdog_poll_ms > 0.0 ? options_.watchdog_poll_ms : 2.0);
-  while (!watchdog_stop_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(poll);
-    const auto now = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> lock(active_mu_);
-    for (ActiveEntry& entry : active_) {
-      if (now >= entry.deadline) entry.cancel->store(true, std::memory_order_relaxed);
-    }
-  }
-}
-
 void Server::execute(Job& job) {
   // Request-scoped trace context: every span emitted while this job runs —
   // serve.job itself, the pipeline/kernel spans below it, and pool.job
@@ -426,7 +410,7 @@ void Server::execute(Job& job) {
   // serve.respond — all on this thread) land in this request's record.
   util::fault::ScopedFireCollector fault_collector;
   DGR_TRACE_SCOPE("serve.job");
-  if (job.has_deadline && std::chrono::steady_clock::now() >= job.deadline) {
+  if (job.deadline.expired()) {
     respond(job,
             error_response(job.request.id, op_name(job.request.op),
                            Status(StatusCode::kStageTimeout,
@@ -442,11 +426,6 @@ void Server::execute(Job& job) {
     return;
   }
 
-  // Register with the watchdog for the duration of the handler.
-  if (job.has_deadline) {
-    std::lock_guard<std::mutex> lock(active_mu_);
-    active_.push_back(ActiveEntry{job.cancel, job.deadline});
-  }
   Response response;
   try {
     // Chaos site modelling a handler crash: the only way to exercise the
@@ -474,14 +453,7 @@ void Server::execute(Job& job) {
     response = error_response(job.request.id, op_name(job.request.op),
                               Status(StatusCode::kInternal, "unhandled non-standard exception"));
   }
-  if (job.has_deadline) {
-    std::lock_guard<std::mutex> lock(active_mu_);
-    active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                 [&](const ActiveEntry& e) {
-                                   return e.cancel == job.cancel;
-                                 }),
-                  active_.end());
-  }
+  job.cancelled = job.deadline.expired();
   const Outcome outcome =
       response.status.ok() ? Outcome::kSucceeded : Outcome::kFailed;
   respond(job, std::move(response), outcome);
@@ -582,25 +554,19 @@ Response Server::handle_route(Job& job) {
     // Retry policy: non-final attempts surface divergence for the reseeded
     // retry; the final attempt degrades exactly as the pipeline does.
     popts.budgets.degrade_on_divergence = final_attempt;
-    if (job.has_deadline) {
-      const double remaining =
-          std::chrono::duration<double>(job.deadline - std::chrono::steady_clock::now())
-              .count();
-      if (remaining <= 0.0) {
-        return error_response(req.id, op_name(req.op),
-                              Status(StatusCode::kStageTimeout,
-                                     "deadline expired before route attempt " +
-                                         std::to_string(attempts_run)));
-      }
-      popts.budgets.route_seconds = remaining;
+    if (job.deadline.expired()) {
+      return error_response(req.id, op_name(req.op),
+                            Status(StatusCode::kStageTimeout,
+                                   "deadline expired before route attempt " +
+                                       std::to_string(attempts_run)));
     }
 
     ctx.reset_demand();
     ctx.clear_warm_start();
-    ctx.set_cancel_flag(job.cancel.get());
+    ctx.set_deadline(job.deadline);
     pipeline::Pipeline pipe(ctx, popts);
     result = pipe.run(effective_router, ropts);
-    ctx.set_cancel_flag(nullptr);
+    ctx.set_deadline({});  // the session context outlives this job
 
     if (result.stats.status.code() == StatusCode::kNumericDivergence && !final_attempt) {
       obs::metrics().counter("serve.requests.retries").add(1);
@@ -810,7 +776,6 @@ void Server::shutdown(bool drain) {
     for (std::thread& w : workers_) {
       if (w.joinable()) w.join();
     }
-    if (watchdog_.joinable()) watchdog_.join();
     if (exporter_.joinable()) exporter_.join();
     return;
   }
@@ -823,11 +788,8 @@ void Server::shutdown(bool drain) {
     stop_workers_ = true;
     obs::metrics().gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
   }
-  if (!drain) {
-    // Cancel in-flight work cooperatively, answer the queue.
-    std::lock_guard<std::mutex> lock(active_mu_);
-    for (ActiveEntry& entry : active_) entry.cancel->store(true, std::memory_order_relaxed);
-  }
+  // Expires every in-flight job's deadline; the queue is answered below.
+  if (!drain) cancel_all_.store(true, std::memory_order_relaxed);
   for (Job& job : cancelled) {
     respond(job,
             error_response(job.request.id, op_name(job.request.op),
@@ -839,8 +801,6 @@ void Server::shutdown(bool drain) {
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
-  watchdog_stop_.store(true, std::memory_order_relaxed);
-  if (watchdog_.joinable()) watchdog_.join();
   exporter_stop_.store(true, std::memory_order_relaxed);
   if (exporter_.joinable()) exporter_.join();
   flush_artifacts();

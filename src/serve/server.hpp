@@ -1,7 +1,7 @@
 #pragma once
 /// \file
 /// The dgr::serve daemon core: admission control, a bounded job queue,
-/// worker threads over the routing pipeline, a deadline watchdog, and
+/// worker threads over the routing pipeline, per-request deadlines, and
 /// graceful shutdown.
 ///
 /// Request life cycle (DESIGN.md §10 has the state machine):
@@ -16,7 +16,8 @@
 ///              ▼
 ///           running ──► retry-on-divergence ──► degrade-on-final ──► OK
 ///              │                                        │
-///              └── watchdog cancel / poisoned request ──► FAILED (typed)
+///              └── deadline expired or cancelling shutdown
+///                  (no fallback) / poisoned request ──► FAILED (typed)
 ///
 /// Accounting invariant, checked by the chaos load test and reported by
 /// "stats": every submitted line is counted exactly once as succeeded,
@@ -33,11 +34,12 @@
 /// final attempt restores the PR 3 contract: divergence (and timeouts,
 /// resource exhaustion, injected faults) degrade to the fallback router.
 ///
-/// Deadlines: deadline_ms covers queue wait + execution. The remaining
-/// time is mapped onto PipelineOptions::budgets.route_seconds (graceful,
-/// in-pipeline), and the watchdog thread sets the job's cooperative cancel
-/// flag once the absolute deadline passes (hard stop for overruns — the
-/// solver checks it every train iteration, the baselines between rounds).
+/// Deadlines: every data-plane job carries one util::Deadline at
+/// submitted + deadline_ms (no time limit without one), tied to the
+/// server's cancel-all flag, so it covers queue wait + execution and also
+/// expires when shutdown(false) raises that flag. handle_route sets it on
+/// the session context for each attempt; the solver polls it every train
+/// iteration, the baselines between rounds.
 
 #include <atomic>
 #include <chrono>
@@ -45,7 +47,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -56,6 +57,7 @@
 #include "serve/flight.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
+#include "util/deadline.hpp"
 
 namespace dgr::serve {
 
@@ -94,12 +96,11 @@ struct ServerOptions {
   /// Token-bucket admission rate (requests/second); 0 disables.
   double rate_limit_per_sec = 0.0;
   double rate_burst = 8.0;  ///< bucket capacity
-  double watchdog_poll_ms = 2.0;
   /// Untrusted-input caps forwarded to design::try_read_design.
   design::DesignLimits design_limits;
   SessionCacheOptions cache;
-  /// Base engine options; per-request fields (seed, iterations, telemetry,
-  /// budget, cancel flag) are stamped over a copy.
+  /// Base engine options; per-request fields (seed, iterations, telemetry)
+  /// are stamped over a copy.
   pipeline::RouterOptions router_options;
   /// Flushed on shutdown when non-empty; rewritten every
   /// metrics_interval_s while running when the exporter is on.
@@ -116,9 +117,10 @@ struct ServerOptions {
   SloOptions slo;
   /// Flight-recorder ring capacity (rounded up to a power of two).
   std::size_t flight_capacity = 256;
-  /// Flight-recorder artifact path, dumped on any INTERNAL response, on
-  /// watchdog cancellation, and at shutdown. Empty = no dumps (the ring
-  /// still records and reports through "stats").
+  /// Flight-recorder artifact path, dumped on any INTERNAL response, on a
+  /// job whose deadline had expired when its handler returned, and at
+  /// shutdown. Empty = no dumps (the ring still records and reports through
+  /// "stats").
   std::string flight_path;
 };
 
@@ -134,7 +136,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Spawns the workers and the watchdog. Idempotent.
+  /// Spawns the workers (and the exporter, when configured). Idempotent.
   void start();
 
   /// Handles one request line. Control ops (ping/stats/shutdown) and
@@ -146,9 +148,9 @@ class Server {
   std::string call(const std::string& line);
 
   /// Stops the daemon. `drain` answers the queued jobs before stopping;
-  /// otherwise queued jobs are answered kCancelled and in-flight jobs get
-  /// their cancel flag set. Flushes the metrics snapshot / trace when
-  /// configured. Idempotent.
+  /// otherwise queued jobs are answered kCancelled and the cancel-all flag
+  /// expires every in-flight job's deadline. Flushes the metrics snapshot /
+  /// trace when configured. Idempotent.
   void shutdown(bool drain = true);
 
   /// A "shutdown" request was received; the transport should exit its read
@@ -176,21 +178,19 @@ class Server {
     Request request;
     Sink sink;
     std::chrono::steady_clock::time_point submitted;
-    std::chrono::steady_clock::time_point deadline;
-    bool has_deadline = false;
-    /// Set by the watchdog (or cancel-all shutdown); polled cooperatively
-    /// by the routing stages through RoutingContext::cancel_flag.
-    std::shared_ptr<std::atomic<bool>> cancel;
+    /// When the routing stages stop: submitted + deadline_ms, or the
+    /// server's cancel-all flag, whichever comes first.
+    util::Deadline deadline;
     // Flight-recorder context, filled as the request moves through its
     // lifecycle (admission depth at enqueue, attempts/degraded by
-    // handle_route) and harvested by respond().
+    // handle_route, cancelled by execute) and harvested by respond().
     std::uint32_t queue_depth_at_admission = 0;
     int attempts = 0;
     bool degraded = false;
+    bool cancelled = false;  ///< deadline had expired when the handler returned
   };
 
   void worker_loop();
-  void watchdog_loop();
   void exporter_loop();
 
   /// Single exit point for every request: classifies the outcome into the
@@ -214,7 +214,7 @@ class Server {
   /// accounting counters (cheap: one walk over ~14 buckets).
   void update_slo_gauges();
   /// Appends the request to the flight ring; dumps the artifact when the
-  /// response is INTERNAL or the job's cancel flag was raised.
+  /// response is INTERNAL or the job was cancelled.
   void record_flight(const Job& job, const Response& response, double latency_ms);
   /// One exporter tick: refresh SLO gauges, rewrite the snapshot /
   /// Prometheus files.
@@ -232,20 +232,12 @@ class Server {
   double rate_tokens_ = 0.0;
   std::chrono::steady_clock::time_point rate_last_;
 
-  /// What the watchdog needs from an in-flight job: where to signal the
-  /// cancellation and when. Registered for the duration of execute().
-  struct ActiveEntry {
-    std::shared_ptr<std::atomic<bool>> cancel;
-    std::chrono::steady_clock::time_point deadline;
-  };
-  std::mutex active_mu_;
-  std::vector<ActiveEntry> active_;
-  std::atomic<bool> watchdog_stop_{false};
+  /// Raised by shutdown(false); every job's deadline reads it.
+  std::atomic<bool> cancel_all_{false};
 
   FlightRecorder flight_;
 
   std::vector<std::thread> workers_;
-  std::thread watchdog_;
   std::thread exporter_;
   std::atomic<bool> exporter_stop_{false};
   std::atomic<bool> started_{false};

@@ -138,7 +138,7 @@ TEST(Chaos, GradientNanRollbackIsBitwiseDeterministicAcrossWorkers) {
   core::DgrConfig config;
   config.iterations = 30;
   config.temperature_interval = 10;
-  config.record_history = true;
+  config.record_telemetry = true;
 
   struct Outcome {
     std::vector<double> history;
@@ -154,7 +154,9 @@ TEST(Chaos, GradientNanRollbackIsBitwiseDeterministicAcrossWorkers) {
     core::DgrSolver solver(forest, d.capacities(), config);
     Outcome out;
     const core::TrainStats stats = solver.train();
-    out.history = stats.cost_history;
+    for (const obs::IterationSample& s : stats.telemetry.samples()) {
+      out.history.push_back(s.loss);
+    }
     out.rollbacks = stats.rollbacks;
     out.logits = solver.logits();
     out.solution = solver.extract();

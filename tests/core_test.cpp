@@ -56,7 +56,7 @@ DgrConfig fast_config() {
   DgrConfig config;
   config.iterations = 200;
   config.temperature_interval = 40;
-  config.record_history = true;
+  config.record_telemetry = true;
   return config;
 }
 
@@ -140,11 +140,12 @@ TEST(DgrSolver, TrainingReducesCost) {
   const TrainStats stats = solver.train();
   EXPECT_EQ(stats.iterations_run, 200);
   EXPECT_LT(stats.final_cost.total, before.total);
-  ASSERT_EQ(stats.cost_history.size(), 200u);
+  const std::vector<obs::IterationSample>& samples = stats.telemetry.samples();
+  ASSERT_EQ(samples.size(), 200u);
   // Late-phase average training cost below early-phase average.
   double early = 0.0, late = 0.0;
-  for (int i = 0; i < 50; ++i) early += stats.cost_history[static_cast<std::size_t>(i)];
-  for (int i = 150; i < 200; ++i) late += stats.cost_history[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < 50; ++i) early += samples[i].loss;
+  for (std::size_t i = 150; i < 200; ++i) late += samples[i].loss;
   EXPECT_LT(late, early);
 }
 
@@ -363,7 +364,7 @@ TEST(CostBreakdown, ComponentsAddUp) {
 /// Full training run of one solver at a given worker count; returns everything
 /// the determinism contract covers (per-iteration costs, final params, routes).
 struct TrainOutcome {
-  std::vector<double> cost_history;
+  std::vector<double> losses;
   std::vector<float> logits;
   eval::RouteSolution solution;
 };
@@ -373,7 +374,8 @@ TrainOutcome train_at_workers(const dag::DagForest& forest, const std::vector<fl
   util::set_worker_count(workers);
   DgrSolver solver(forest, cap, config);
   TrainOutcome out;
-  out.cost_history = solver.train().cost_history;
+  const TrainStats stats = solver.train();
+  for (const obs::IterationSample& s : stats.telemetry.samples()) out.losses.push_back(s.loss);
   out.logits = solver.logits();
   out.solution = solver.extract();
   return out;
@@ -395,12 +397,12 @@ TEST(DgrSolver, BitwiseDeterministicAcrossWorkerCounts) {
   config.iterations = 40;
 
   const TrainOutcome ref = train_at_workers(forest, cap, config, 1);
-  ASSERT_EQ(ref.cost_history.size(), 40u);
+  ASSERT_EQ(ref.losses.size(), 40u);
   for (const std::size_t workers : {std::size_t{2}, std::size_t{4}, std::size_t{0}}) {
     const TrainOutcome got = train_at_workers(forest, cap, config, workers);
-    ASSERT_EQ(got.cost_history.size(), ref.cost_history.size()) << workers;
-    for (std::size_t i = 0; i < ref.cost_history.size(); ++i) {
-      EXPECT_EQ(got.cost_history[i], ref.cost_history[i])
+    ASSERT_EQ(got.losses.size(), ref.losses.size()) << workers;
+    for (std::size_t i = 0; i < ref.losses.size(); ++i) {
+      EXPECT_EQ(got.losses[i], ref.losses[i])
           << "workers=" << workers << " iter=" << i;
     }
     ASSERT_EQ(got.logits.size(), ref.logits.size()) << workers;

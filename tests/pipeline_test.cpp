@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 
 #include "design/generator.hpp"
 #include "eval/metrics.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/registry.hpp"
+#include "util/deadline.hpp"
 #include "util/log.hpp"
 
 namespace dgr::pipeline {
@@ -36,6 +38,9 @@ RouterOptions fast_options() {
   o.dgr.temperature_interval = 20;
   return o;
 }
+
+/// A deadline that has already passed: every engine stops at its first poll.
+util::Deadline expired_deadline() { return util::Deadline(std::chrono::steady_clock::now()); }
 
 /// Direction legality: every path has >= 2 waypoints, consecutive waypoints
 /// are axis-aligned (H/V legs only), all waypoints are on the grid, and the
@@ -111,6 +116,13 @@ TEST(RoutingContext, ForestIsCachedPerOptions) {
   EXPECT_FALSE(ctx.has_forest(other));
   const dag::DagForest& c = ctx.forest(other);
   EXPECT_GT(c.paths().size(), base_paths);
+  // A nested field is part of the key too: the cache rebuilds on it.
+  dag::ForestOptions nested = other;
+  nested.tree.rsmt.one_steiner.max_candidates = 64;
+  EXPECT_FALSE(ctx.has_forest(nested));
+  ctx.forest(nested);
+  EXPECT_TRUE(ctx.has_forest(nested));
+  EXPECT_FALSE(ctx.has_forest(other));
 }
 
 // ---------------------------------------------------------------------------
@@ -381,9 +393,8 @@ TEST(StageBudget, ExhaustedDgrBudgetDegradesToFallback) {
   util::set_log_level(util::LogLevel::kError);
   const design::Design d = small_design();
   RoutingContext ctx(d);
-  PipelineOptions popts;
-  popts.budgets.route_seconds = 1e-9;  // expires before the first iteration
-  Pipeline pipe(ctx, popts);
+  ctx.set_deadline(expired_deadline());  // expires before the first iteration
+  Pipeline pipe(ctx);
   const PipelineResult r = pipe.run("dgr", fast_options());
   // The route stage timed out, the pipeline degraded to cugr2-lite through
   // the registry (warm-started from DGR's last healthy extraction), and the
@@ -404,8 +415,8 @@ TEST(StageBudget, DisabledFallbackSurfacesStageTimeout) {
   util::set_log_level(util::LogLevel::kError);
   const design::Design d = small_design();
   RoutingContext ctx(d);
+  ctx.set_deadline(expired_deadline());
   PipelineOptions popts;
-  popts.budgets.route_seconds = 1e-9;
   popts.budgets.fallback_router.clear();
   Pipeline pipe(ctx, popts);
   const PipelineResult r = pipe.run("dgr", fast_options());
@@ -421,14 +432,28 @@ TEST(StageBudget, DisabledFallbackSurfacesStageTimeout) {
 TEST(StageBudget, BudgetedBaselineMarksDegradedWithoutFallback) {
   const design::Design d = small_design();
   RoutingContext ctx(d);
-  PipelineOptions popts;
-  popts.budgets.route_seconds = 1e-9;
-  Pipeline pipe(ctx, popts);
-  // cugr2-lite cut short by the budget still returns its whole initial
+  ctx.set_deadline(expired_deadline());
+  Pipeline pipe(ctx);
+  // cugr2-lite cut short by the deadline still returns its whole initial
   // pass; it is marked degraded but needs no fallback (status stays OK).
   const PipelineResult r = pipe.run("cugr2-lite");
   EXPECT_TRUE(r.stats.degraded);
   EXPECT_TRUE(r.stats.status.ok());
+  EXPECT_DOUBLE_EQ(r.stats.stage_seconds("fallback_route"), 0.0);
+  EXPECT_TRUE(r.solution.connects_all_pins());
+}
+
+TEST(StageBudget, ExpiredDeadlineStopsLagrangianAfterItsFirstRound) {
+  const design::Design d = small_design();
+  RoutingContext ctx(d);
+  ctx.set_deadline(expired_deadline());
+  Pipeline pipe(ctx);
+  // Round 0 always completes, so the kept solution is whole; the deadline
+  // stops the subgradient loop before round 1 and marks the run degraded.
+  const PipelineResult r = pipe.run("lagrangian");
+  EXPECT_TRUE(r.stats.degraded);
+  EXPECT_TRUE(r.stats.status.ok()) << r.stats.status.to_string();
+  EXPECT_EQ(r.stats.counter("rounds"), 1.0);
   EXPECT_DOUBLE_EQ(r.stats.stage_seconds("fallback_route"), 0.0);
   EXPECT_TRUE(r.solution.connects_all_pins());
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
 
 #include "design/generator.hpp"
@@ -8,6 +9,7 @@
 #include "routers/lagrangian.hpp"
 #include "routers/maze.hpp"
 #include "routers/sproute_lite.hpp"
+#include "util/deadline.hpp"
 #include "util/log.hpp"
 
 namespace dgr::routers {
@@ -186,8 +188,8 @@ TEST(Cugr2Lite, WirelengthNearHpwlOnEasyDesign) {
 TEST(Cugr2Lite, TimeBudgetStopsRrrButReturnsWholeSolution) {
   const Design d = congested_design();
   Cugr2LiteOptions opts;
-  opts.rrr_rounds = 1000;  // would run forever without the budget
-  opts.time_budget_seconds = 1e-9;
+  opts.rrr_rounds = 1000;  // would run forever without the deadline
+  opts.deadline = util::Deadline(std::chrono::steady_clock::now());  // already expired
   Cugr2Lite router(d, d.capacities(), opts);
   Cugr2LiteStats stats;
   const eval::RouteSolution sol = router.route(&stats);
@@ -200,7 +202,7 @@ TEST(SpRouteLite, TimeBudgetStopsNegotiationButReturnsWholeSolution) {
   const Design d = congested_design();
   SpRouteLiteOptions opts;
   opts.max_rounds = 1000;
-  opts.time_budget_seconds = 1e-9;
+  opts.deadline = util::Deadline(std::chrono::steady_clock::now());
   SpRouteLite router(d, d.capacities(), opts);
   SpRouteLiteStats stats;
   const eval::RouteSolution sol = router.route(&stats);

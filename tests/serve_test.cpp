@@ -1,10 +1,10 @@
 // Serve suite (ctest -L serve): the routing-as-a-service daemon. Covers the
 // wire protocol (every response self-validates with the same obs JSON parser
 // the bench schema gate uses), admission control (queue-full / rate-limit
-// rejections are typed, never dropped), deadlines (graceful budget mapping
-// plus the watchdog's hard cancel), the retry-then-degrade sequencing of the
-// route handler, session LRU eviction, worker-count determinism, and the
-// serve.* chaos sites. The acceptance gate lives at the bottom: a seeded
+// rejections are typed, never dropped), deadlines and the cancelling
+// shutdown (one per-request util::Deadline), the retry-then-degrade
+// sequencing of the route handler, session LRU eviction, worker-count
+// determinism, and the serve.* chaos sites. The acceptance gate lives at the bottom: a seeded
 // mixed load of 200+ requests with every serve.* and pipeline fault site
 // armed must end with zero crashes, every failure typed, and the accounting
 // invariant offered = succeeded + rejected + failed intact.
@@ -631,11 +631,64 @@ TEST(ServeServer, DeadlineCancelsMidTrainWithoutFallback) {
           .count();
   EXPECT_FALSE(response_ok(doc));
   EXPECT_EQ(error_code(doc), "STAGE_TIMEOUT");
-  // The watchdog is the hard backstop: the request cannot run to the full
-  // iteration count (which would take tens of seconds).
+  // The solver polls the deadline every iteration: the request cannot run
+  // to the full iteration count (which would take tens of seconds).
   EXPECT_LT(elapsed_ms, 10000.0);
 
   server.shutdown(true);
+  expect_accounting_invariant(server);
+}
+
+TEST(ServeServer, CancellingShutdownStopsInFlightRoute) {
+  ServerOptions options;
+  options.workers = 1;
+  Server server(options);
+  server.start();
+
+  const design::Design d = serve_design(5, 16, 90);
+  ASSERT_TRUE(response_ok(
+      expect_valid_response(server.call(load_line("l", "s1", design_text(d))))));
+
+  // No deadline and no fallback: only the cancelling shutdown can stop it.
+  RouteSpec spec;
+  spec.id = "endless";
+  spec.session = "s1";
+  spec.router = "dgr";
+  spec.fallback = "none";
+  spec.iterations = 200000;
+  std::mutex mu;
+  std::string response;
+  obs::Counter& runs = obs::metrics().counter("pipeline.runs");
+  const std::int64_t runs_before = runs.value();
+  server.submit(route_line(spec), [&](const std::string& line) {
+    std::lock_guard<std::mutex> lock(mu);
+    response = line;
+  });
+  // Wait until the route stage has started, then let it train a while.
+  while (runs.value() == runs_before) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const auto start = std::chrono::steady_clock::now();
+  server.shutdown(/*drain=*/false);
+  const double shutdown_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(shutdown_ms, 10000.0);
+
+  ASSERT_FALSE(response.empty());
+  const Value doc = expect_valid_response(response);
+  EXPECT_FALSE(response_ok(doc));
+  EXPECT_EQ(error_code(doc), "STAGE_TIMEOUT");
+  const Value flight = server.flight().to_json("manual");
+  bool found = false;
+  for (const Value& r : flight.find("records")->items()) {
+    if (r.find("id")->as_string() != "endless") continue;
+    found = true;
+    EXPECT_TRUE(r.find("cancelled")->as_bool());
+  }
+  EXPECT_TRUE(found) << "request 'endless' missing from flight records";
   expect_accounting_invariant(server);
 }
 

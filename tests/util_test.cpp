@@ -6,6 +6,7 @@
 #include <set>
 #include <thread>
 
+#include "util/deadline.hpp"
 #include "util/log.hpp"
 #include "util/memprobe.hpp"
 #include "util/parallel.hpp"
@@ -413,6 +414,20 @@ TEST(Timer, MeasuresElapsedTime) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_GE(t.millis(), 15.0);
   EXPECT_LT(t.millis(), 5000.0);
+}
+
+TEST(Deadline, ExpiresOnItsTimeOrItsCancelFlag) {
+  EXPECT_FALSE(Deadline().expired());  // default: never
+  const auto now = Deadline::Clock::now();
+  EXPECT_TRUE(Deadline(now).expired());
+  EXPECT_FALSE(Deadline(now + std::chrono::hours(1)).expired());
+  std::atomic<bool> cancel{false};
+  const Deadline no_limit(Deadline::Clock::time_point::max(), &cancel);
+  const Deadline copy = no_limit;  // copies read the same flag
+  EXPECT_FALSE(no_limit.expired());
+  cancel.store(true);
+  EXPECT_TRUE(no_limit.expired());
+  EXPECT_TRUE(copy.expired());
 }
 
 TEST(StopWatch, AccumulatesWindows) {
