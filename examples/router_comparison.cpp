@@ -85,9 +85,6 @@ int main(int argc, char** argv) {
 
   for (const std::string& name : pipeline::registered_routers()) {
     const auto router = pipeline::make_router(name, options);
-    // Post-processing-only entries (maze-refine) need a prior solution;
-    // this example compares cold full routers.
-    if (router == nullptr || router->requires_warm_start()) continue;
     // DGR is the only router the paper pairs with maze refinement.
     const pipeline::StagePlan plan{.maze_refine = name == "dgr", .layer_assign = true};
     const pipeline::PipelineResult r = pipe.run(*router, plan);

@@ -1,5 +1,7 @@
 #include "eval/metrics.hpp"
 
+#include <algorithm>
+
 namespace dgr::eval {
 
 Metrics compute_metrics(const RouteSolution& sol, const std::vector<float>& capacities,
@@ -16,23 +18,37 @@ Metrics compute_metrics(const RouteSolution& sol, const std::vector<float>& capa
 
 std::int64_t nets_with_overflow(const RouteSolution& sol,
                                 const std::vector<float>& capacities, float via_beta) {
-  const grid::DemandMap dm = sol.demand(via_beta);
-  const auto& grid = sol.design->grid();
-  std::int64_t count = 0;
-  for (const NetRoute& net : sol.nets) {
-    bool over = false;
-    for (const dag::PatternPath& path : net.paths) {
-      for (const grid::EdgeId e : path.edges(grid)) {
-        if (dm.demand(e) > capacities[static_cast<std::size_t>(e)] + 1e-6) {
-          over = true;
-          break;
-        }
-      }
-      if (over) break;
+  return static_cast<std::int64_t>(
+      overflowed_nets(sol, sol.demand(via_beta), capacities).size());
+}
+
+double net_overflow(const NetRoute& net, const grid::DemandMap& dm,
+                    const std::vector<float>& capacities, const grid::GCellGrid& grid) {
+  double worst = 0.0;
+  for (const dag::PatternPath& path : net.paths) {
+    for (const grid::EdgeId e : path.edges(grid)) {
+      worst = std::max(worst, dm.demand(e) - static_cast<double>(
+                                                 capacities[static_cast<std::size_t>(e)]));
     }
-    if (over) ++count;
   }
-  return count;
+  return worst > 1e-6 ? worst : 0.0;
+}
+
+std::vector<OverflowedNet> overflowed_nets(const RouteSolution& sol,
+                                           const grid::DemandMap& dm,
+                                           const std::vector<float>& capacities) {
+  std::vector<OverflowedNet> out;
+  for (std::size_t i = 0; i < sol.nets.size(); ++i) {
+    const double worst = net_overflow(sol.nets[i], dm, capacities, sol.design->grid());
+    if (worst > 0.0) out.push_back({i, worst});
+  }
+  return out;
+}
+
+RerouteScore reroute_score(const RouteSolution& sol, const grid::DemandMap& dm,
+                           const std::vector<float>& capacities) {
+  return {dm.overflowed_edge_count(capacities), dm.total_overflow(capacities),
+          sol.total_wirelength()};
 }
 
 double weighted_overflow(const RouteSolution& sol, const std::vector<float>& capacities,

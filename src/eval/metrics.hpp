@@ -6,6 +6,8 @@
 ///   Table 1:    Σ_e ReLU(d_e - cap_e).
 
 #include <cstdint>
+#include <tuple>
+#include <vector>
 
 #include "eval/solution.hpp"
 
@@ -34,5 +36,30 @@ double weighted_overflow(const RouteSolution& sol, const std::vector<float>& cap
 std::int64_t nets_with_overflow(const RouteSolution& sol,
                                 const std::vector<float>& capacities,
                                 float via_beta = 0.5f);
+
+// ---- rip-up-and-reroute kit -------------------------------------------------
+
+/// Worst overflow (demand − capacity in `dm`) over the edges `net` crosses
+/// when it exceeds the 1e-6 round-off guard; 0 when the net crosses no
+/// overflowed edge.
+double net_overflow(const NetRoute& net, const grid::DemandMap& dm,
+                    const std::vector<float>& capacities, const grid::GCellGrid& grid);
+
+/// A net of a solution that crosses an overflowed edge.
+struct OverflowedNet {
+  std::size_t slot = 0;  ///< index into RouteSolution::nets
+  double worst = 0.0;    ///< its net_overflow(), > 0
+};
+
+/// Every net of `sol` that crosses an overflowed edge of `dm`, in slot order.
+std::vector<OverflowedNet> overflowed_nets(const RouteSolution& sol,
+                                           const grid::DemandMap& dm,
+                                           const std::vector<float>& capacities);
+
+/// Snapshot score of rip-up-and-reroute loops, compared lexicographically
+/// (lower is better): # overflowed edges, total overflow, wirelength.
+using RerouteScore = std::tuple<std::int64_t, double, std::int64_t>;
+RerouteScore reroute_score(const RouteSolution& sol, const grid::DemandMap& dm,
+                           const std::vector<float>& capacities);
 
 }  // namespace dgr::eval

@@ -32,6 +32,23 @@ void RouteSolution::apply_net(DemandMap& dm, const design::Design& design,
   }
 }
 
+std::vector<char> RouteSolution::seed_from(const RouteSolution* prior, DemandMap& dm,
+                                           float via_beta) {
+  std::vector<char> seeded(nets.size(), 0);
+  if (prior == nullptr || prior->design != design) return seeded;
+  const auto& routable = design->routable_nets();
+  std::vector<std::size_t> slot_of(design->net_count(), routable.size());
+  for (std::size_t i = 0; i < routable.size(); ++i) slot_of[routable[i]] = i;
+  for (const NetRoute& net : prior->nets) {
+    const std::size_t slot = slot_of[net.design_net];
+    if (slot == routable.size() || net.paths.empty()) continue;
+    nets[slot] = net;
+    apply_net(dm, *design, nets[slot], via_beta, +1.0);
+    seeded[slot] = 1;
+  }
+  return seeded;
+}
+
 DemandMap RouteSolution::demand(float via_beta) const {
   DemandMap dm(design->grid());
   for (const NetRoute& net : nets) apply_net(dm, *design, net, via_beta, +1.0);

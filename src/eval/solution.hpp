@@ -29,6 +29,14 @@ struct RouteSolution {
   static void apply_net(grid::DemandMap& dm, const design::Design& design,
                         const NetRoute& net, float via_beta, double sign);
 
+  /// Warm start: copies every net of `prior` that has paths into its slot
+  /// here (slots follow design->routable_nets(); `nets` must already be
+  /// sized to them) and charges it to `dm`. Returns one flag per slot, set
+  /// where a net was seeded. Seeds nothing unless `prior` is a solution of
+  /// this solution's design.
+  std::vector<char> seed_from(const RouteSolution* prior, grid::DemandMap& dm,
+                              float via_beta);
+
   /// Total wirelength (sum of path lengths) and bend count.
   std::int64_t total_wirelength() const;
   std::int64_t total_bends() const;

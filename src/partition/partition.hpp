@@ -51,7 +51,7 @@ struct PartitionConfig {
   /// Registry name of the engine that routes each region and the
   /// cross-boundary set. "partitioned" itself is rejected (no recursion).
   std::string region_router = "cugr2-lite";
-  /// Bound on the reconciliation maze-refine rounds over the merged result.
+  /// Bound on the reconciliation maze_refine rounds over the merged result.
   int reconcile_rounds = 1;
   /// A rect is never split below this core extent on either axis, so K is
   /// silently reduced on small grids (the plan reports what it built).

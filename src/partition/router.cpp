@@ -52,6 +52,12 @@ PartitionedRouter::PartitionedRouter(PartitionConfig config,
 eval::RouteSolution PartitionedRouter::route(pipeline::RoutingContext& ctx) {
   DGR_TRACE_SCOPE("route.partitioned");
   reset_stats();
+  if (!pipeline::has_router(config_.region_router)) {
+    stats_.status = Status(StatusCode::kNotFound,
+                           "partitioned: no region router registered under '" +
+                               config_.region_router + "'");
+    return {};
+  }
   const design::Design& dsn = ctx.design();
   const grid::GCellGrid& grid = dsn.grid();
 
@@ -81,12 +87,6 @@ eval::RouteSolution PartitionedRouter::route(pipeline::RoutingContext& ctx) {
   if (regions <= 1) {
     const std::unique_ptr<pipeline::Router> leaf =
         pipeline::make_router(config_.region_router, region_options_);
-    if (leaf == nullptr) {
-      stats_.status = Status(StatusCode::kNotFound,
-                             "partitioned: no region router registered under '" +
-                                 config_.region_router + "'");
-      return {};
-    }
     eval::RouteSolution sol = leaf->route(ctx);  // leaf syncs ctx demand
     stats_.children.push_back(leaf->stats());
     stats_.status = leaf->stats().status;
@@ -126,12 +126,6 @@ eval::RouteSolution PartitionedRouter::route(pipeline::RoutingContext& ctx) {
             subctx.set_deadline(ctx.deadline());
             const std::unique_ptr<pipeline::Router> leaf =
                 pipeline::make_router(config_.region_router, region_options_);
-            if (leaf == nullptr) {
-              out.status = Status(StatusCode::kNotFound,
-                                  "partitioned: no region router registered under '" +
-                                      config_.region_router + "'");
-              return;
-            }
             eval::RouteSolution rsol = leaf->route(subctx);
             out.stats.stages = leaf->stats().stages;
             for (const auto& kv : leaf->stats().counters) {
@@ -223,7 +217,7 @@ eval::RouteSolution PartitionedRouter::route(pipeline::RoutingContext& ctx) {
       crossctx.set_deadline(ctx.deadline());
       // The cross pass runs serially on the full grid, so it is kept cheap:
       // pattern routing over the merged congestion only, no per-net maze
-      // escapes — the maze-refine reconcile below repairs any overflow it
+      // escapes — the maze_refine reconcile below repairs any overflow it
       // leaves at a fraction of the cost of full-grid maze fallbacks.
       pipeline::RouterOptions cross_options = region_options_;
       cross_options.cugr2.maze_fallback = false;
@@ -231,31 +225,23 @@ eval::RouteSolution PartitionedRouter::route(pipeline::RoutingContext& ctx) {
           std::max(2, region_options_.cugr2.rrr_rounds / 2);
       const std::unique_ptr<pipeline::Router> leaf =
           pipeline::make_router(config_.region_router, cross_options);
-      if (leaf == nullptr) {
-        reconcile_status =
-            Status(StatusCode::kNotFound,
-                   "partitioned: no region router registered under '" +
-                       config_.region_router + "'");
-      } else {
-        try {
-          eval::RouteSolution cross_sol = leaf->route(crossctx);
-          pipeline::RouterStats cross_stats = leaf->stats();
-          cross_stats.add_counter("cross_pass", 1.0);
-          stats_.children.push_back(std::move(cross_stats));
-          reconcile_status = leaf->stats().status;
-          for (eval::NetRoute& nr : cross_sol.nets) {
-            merged.nets[slot_of[pending[nr.design_net]]].paths =
-                std::move(nr.paths);
-          }
-        } catch (const std::exception& e) {
-          reconcile_status = Status(
-              StatusCode::kInternal,
-              std::string("partitioned: cross-boundary route failed: ") + e.what());
+      try {
+        eval::RouteSolution cross_sol = leaf->route(crossctx);
+        pipeline::RouterStats cross_stats = leaf->stats();
+        cross_stats.add_counter("cross_pass", 1.0);
+        stats_.children.push_back(std::move(cross_stats));
+        reconcile_status = leaf->stats().status;
+        for (eval::NetRoute& nr : cross_sol.nets) {
+          merged.nets[slot_of[pending[nr.design_net]]].paths = std::move(nr.paths);
         }
+      } catch (const std::exception& e) {
+        reconcile_status = Status(
+            StatusCode::kInternal,
+            std::string("partitioned: cross-boundary route failed: ") + e.what());
       }
     }
     if (config_.reconcile_rounds > 0) {
-      post::MazeRefineOptions ropts = region_options_.refine;
+      post::MazeRefineOptions ropts;
       ropts.max_rounds = config_.reconcile_rounds;
       ropts.via_beta = ctx.via_beta();
       const post::MazeRefineStats rs =

@@ -7,10 +7,10 @@
 /// fully-contained nets concurrently on util::ParallelRuntime — each region
 /// job builds a RegionSlice sub-design and a region RoutingContext whose
 /// capacities are the residuals a committed-demand halo snapshot leaves,
-/// then runs a fresh instance of any registered leaf router — and finally
+/// then runs a fresh instance of the named leaf router — and finally
 /// merges the regions in fixed region order and reconciles serially: the
 /// cross-boundary set routes against the merged residuals, and a bounded
-/// maze-refine pass cleans up halo conflicts. Region results land in
+/// post::maze_refine pass cleans up halo conflicts. Region results land in
 /// per-region slots and every serial pass walks them in region/net order,
 /// so the output is bitwise identical across worker counts at a fixed
 /// partition count.

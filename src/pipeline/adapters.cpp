@@ -5,7 +5,6 @@
 
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
-#include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace dgr::pipeline {
@@ -146,36 +145,6 @@ eval::RouteSolution LagrangianPipelineRouter::route(RoutingContext& ctx) {
   stats_.add_counter("rounds", static_cast<double>(rs.rounds_run));
   stats_.add_counter("final_step", rs.final_step);
   stats_.degraded = rs.timed_out;
-  sync_demand(ctx, sol);
-  return sol;
-}
-
-// ---------------------------------------------------------------------------
-// MazeRefineRouter
-// ---------------------------------------------------------------------------
-
-MazeRefineRouter::MazeRefineRouter(post::MazeRefineOptions options) : options_(options) {}
-
-eval::RouteSolution MazeRefineRouter::route(RoutingContext& ctx) {
-  DGR_TRACE_SCOPE("route.maze-refine");
-  reset_stats();
-  if (ctx.warm_start() == nullptr) {
-    DGR_LOG_WARN("maze-refine router needs a warm start; returning empty solution");
-    stats_.status = Status(StatusCode::kInvalidArgument,
-                           "maze-refine requires a warm start");
-    return {};
-  }
-  eval::RouteSolution sol = *ctx.warm_start();
-  post::MazeRefineOptions opts = options_;
-  opts.via_beta = ctx.via_beta();
-  util::Timer timer;
-  const post::MazeRefineStats rs = post::maze_refine(sol, ctx.capacities(), opts);
-  stats_.add_stage("maze_refine", timer.seconds());
-  stats_.add_counter("rounds", static_cast<double>(rs.rounds_run));
-  stats_.add_counter("nets_rerouted", static_cast<double>(rs.nets_rerouted));
-  stats_.add_counter("nets_improved", static_cast<double>(rs.nets_improved));
-  stats_.add_counter("overflow_before", rs.overflow_before);
-  stats_.add_counter("overflow_after", rs.overflow_after);
   sync_demand(ctx, sol);
   return sol;
 }

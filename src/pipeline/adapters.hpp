@@ -8,9 +8,9 @@
 ///   "sproute-lite" SpRouteRouter    PathFinder-style negotiation maze router
 ///   "lagrangian"   LagrangianPipelineRouter  priced shortest paths +
 ///                                   subgradient multiplier updates
-///   "maze-refine"  MazeRefineRouter post::maze_refine as a warm-start-only
-///                                   refinement stage (DGR -> maze refine
-///                                   composition, Section 4.6)
+///
+/// Maze refinement (Section 4.6) is not a router: it is the pipeline's
+/// StagePlan::maze_refine stage.
 ///
 /// Each adapter stamps the context's via_beta into its engine's demand
 /// model so all stages share one bookkeeping convention, and translates the
@@ -20,7 +20,6 @@
 #include "core/solver.hpp"
 #include "partition/partition.hpp"
 #include "pipeline/router.hpp"
-#include "post/maze_refine.hpp"
 #include "routers/cugr2lite.hpp"
 #include "routers/lagrangian.hpp"
 #include "routers/sproute_lite.hpp"
@@ -35,7 +34,6 @@ struct RouterOptions {
   routers::Cugr2LiteOptions cugr2;           ///< "cugr2-lite"
   routers::SpRouteLiteOptions sproute;       ///< "sproute-lite"
   routers::LagrangianOptions lagrangian;     ///< "lagrangian"
-  post::MazeRefineOptions refine;            ///< "maze-refine"
   /// "partitioned": tiling + region-router selection (partition/router.hpp).
   /// partition.region_router names the leaf engine; the other members above
   /// configure it.
@@ -67,7 +65,6 @@ class Cugr2Router : public Router {
  public:
   explicit Cugr2Router(routers::Cugr2LiteOptions options = {});
   std::string_view name() const override { return "cugr2-lite"; }
-  bool supports_warm_start() const override { return true; }
   eval::RouteSolution route(RoutingContext& ctx) override;
 
  private:
@@ -80,7 +77,6 @@ class SpRouteRouter : public Router {
  public:
   explicit SpRouteRouter(routers::SpRouteLiteOptions options = {});
   std::string_view name() const override { return "sproute-lite"; }
-  bool supports_warm_start() const override { return true; }
   eval::RouteSolution route(RoutingContext& ctx) override;
 
  private:
@@ -98,20 +94,6 @@ class LagrangianPipelineRouter : public Router {
 
  private:
   routers::LagrangianOptions options_;
-};
-
-/// post::maze_refine as a Router: requires a warm start and returns the
-/// monotonically-improved refinement of it. Stage: "maze_refine".
-class MazeRefineRouter : public Router {
- public:
-  explicit MazeRefineRouter(post::MazeRefineOptions options = {});
-  std::string_view name() const override { return "maze-refine"; }
-  bool supports_warm_start() const override { return true; }
-  bool requires_warm_start() const override { return true; }
-  eval::RouteSolution route(RoutingContext& ctx) override;
-
- private:
-  post::MazeRefineOptions options_;
 };
 
 }  // namespace dgr::pipeline

@@ -10,11 +10,11 @@
 /// DAG forest (DGR's candidate pools), and the shared evaluation helpers.
 ///
 /// Warm-start semantics: set_warm_start() stores a prior RouteSolution and
-/// seeds the live demand from it. Routers that support warm starts (see
-/// Router::supports_warm_start) re-enter their route stage from that
-/// solution — pipeline-level rip-up-and-reroute and cross-router
-/// composition (e.g. DGR -> maze refine, SPRoute -> CUGR2 RRR) both hang
-/// off this hook.
+/// seeds the live demand from it. "cugr2-lite" and "sproute-lite" re-enter
+/// their rip-up-and-reroute loop from that solution (e.g. SPRoute -> CUGR2
+/// RRR, or the pipeline's fallback resuming from DGR's last extraction);
+/// the other routers route cold. Maze refinement after any router is the
+/// pipeline's StagePlan::maze_refine stage.
 
 #include <cstdint>
 #include <memory>
@@ -65,8 +65,8 @@ class RoutingContext {
   void commit(const eval::RouteSolution& sol, double sign = 1.0);
 
   // ---- warm start ----------------------------------------------------------
-  /// Stores `prior` and re-seeds the live demand from it. The next route
-  /// stage of a warm-start-capable router resumes from this solution.
+  /// Stores `prior` and re-seeds the live demand from it. The next
+  /// "cugr2-lite" or "sproute-lite" route stage resumes from this solution.
   void set_warm_start(eval::RouteSolution prior);
   /// The stored prior solution, or nullptr when routing cold.
   const eval::RouteSolution* warm_start() const {

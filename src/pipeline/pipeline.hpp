@@ -14,8 +14,7 @@
 ///
 /// Re-entry: Pipeline::rerun() seeds the context's warm start from a prior
 /// solution and runs the route stage again, giving cross-router composition
-/// (DGR -> "maze-refine", any router -> "cugr2-lite" RRR) and
-/// pipeline-level rip-up-and-reroute.
+/// (any router -> "cugr2-lite" RRR) and pipeline-level rip-up-and-reroute.
 
 #include <string>
 
@@ -40,8 +39,8 @@ struct StageBudgets {
   /// Registry name to fall back to when the route stage fails with a
   /// degradable status (timeout, divergence, resource exhaustion, internal
   /// error, injected fault). Empty disables degradation: the typed error is
-  /// surfaced in stats.status instead. Non-degradable failures (e.g.
-  /// InvalidArgument from a cold refinement-only router) always surface.
+  /// surfaced in stats.status instead. Non-degradable failures (caller
+  /// errors such as InvalidArgument or NotFound) always surface.
   std::string fallback_router = "cugr2-lite";
   /// Warm-start the fallback from the failed router's last healthy
   /// extraction when that solution is complete; otherwise route cold.

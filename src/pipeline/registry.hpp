@@ -1,14 +1,12 @@
 #pragma once
 /// \file
-/// String -> factory router registry for config-driven engine selection.
+/// Fixed name -> router table for config-driven engine selection.
 ///
-/// The four built-in router families plus the maze-refinement stage are
-/// pre-registered under "dgr", "cugr2-lite", "sproute-lite", "lagrangian"
-/// and "maze-refine"; additional engines can be registered at runtime.
-/// Factories receive a RouterOptions bundle so harnesses drive every
-/// engine's configuration through one struct.
+/// The four router families and the partition-parallel composite resolve
+/// under "cugr2-lite", "dgr", "lagrangian", "partitioned" and
+/// "sproute-lite". A RouterOptions bundle configures every engine, so
+/// harnesses drive any router's configuration through one struct.
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,20 +15,14 @@
 
 namespace dgr::pipeline {
 
-using RouterFactory =
-    std::function<std::unique_ptr<Router>(const RouterOptions& options)>;
-
-/// Registers (or replaces) a factory under `name`.
-void register_router(const std::string& name, RouterFactory factory);
-
-/// Instantiates the router registered under `name`; nullptr when unknown.
+/// Instantiates the router named `name`; nullptr when unknown.
 std::unique_ptr<Router> make_router(const std::string& name,
                                     const RouterOptions& options = {});
 
-/// All registered names, sorted (built-ins included).
+/// All router names, sorted.
 std::vector<std::string> registered_routers();
 
-/// Whether `name` resolves to a registered factory.
+/// Whether `name` names a router.
 bool has_router(const std::string& name);
 
 }  // namespace dgr::pipeline

@@ -95,22 +95,15 @@ struct RouterStats {
 
 /// Abstract interchangeable routing engine. Implementations adapt the
 /// concrete routers (core::DgrSolver + extraction, routers::Cugr2Lite,
-/// routers::SpRouteLite, routers::LagrangianRouter, post::maze_refine) to
-/// the shared RoutingContext; see pipeline/adapters.hpp.
+/// routers::SpRouteLite, routers::LagrangianRouter) to the shared
+/// RoutingContext; see pipeline/adapters.hpp.
 class Router {
  public:
   virtual ~Router() = default;
 
   /// Registry name ("dgr", "cugr2-lite", "sproute-lite", "lagrangian",
-  /// "maze-refine").
+  /// "partitioned").
   virtual std::string_view name() const = 0;
-
-  /// Whether route() resumes from ctx.warm_start() when one is set.
-  /// Routers without warm-start support simply route cold.
-  virtual bool supports_warm_start() const { return false; }
-  /// Whether route() is only meaningful with a warm start (refinement
-  /// stages); such routers return an empty solution when routed cold.
-  virtual bool requires_warm_start() const { return false; }
 
   /// Routes the context's design. Leaves the context's live demand equal to
   /// the returned solution's demand and refreshes stats().

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
+#include "eval/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routers/maze.hpp"
 #include "util/log.hpp"
@@ -12,7 +12,6 @@ namespace dgr::post {
 
 using eval::NetRoute;
 using eval::RouteSolution;
-using geom::Point;
 using grid::DemandMap;
 using grid::EdgeId;
 
@@ -61,10 +60,6 @@ NetRoute maze_reroute_net(const design::Design& design, std::size_t design_net,
                           const DemandMap& others, const std::vector<float>& cap,
                           const MazeRefineOptions& opt) {
   const auto& grid = design.grid();
-  NetRoute route;
-  route.design_net = design_net;
-  std::vector<Point> pins = geom::dedupe_points(design.net(design_net).pins);
-
   // Track this net's own usage so parallel sub-nets share edges for free.
   DemandMap mine(grid);
   auto price = [&](EdgeId e) {
@@ -74,39 +69,16 @@ NetRoute maze_reroute_net(const design::Design& design, std::size_t design_net,
     const double marginal = std::max(0.0, d + 1.0 - c) - std::max(0.0, d - c);
     return opt.wl_weight + opt.congestion_price * marginal;
   };
-
-  std::vector<Point> component{pins.front()};
-  std::vector<bool> connected(pins.size(), false);
-  connected[0] = true;
-  for (std::size_t step = 1; step < pins.size(); ++step) {
-    std::size_t next = pins.size();
-    std::int64_t best_d = std::numeric_limits<std::int64_t>::max();
-    for (std::size_t i = 0; i < pins.size(); ++i) {
-      if (connected[i]) continue;
-      for (const Point& c : component) {
-        const std::int64_t d = geom::manhattan(pins[i], c);
-        if (d < best_d) {
-          best_d = d;
-          next = i;
-        }
-      }
-    }
-    const routers::MazeResult mz = routers::maze_route(grid, component, pins[next], price);
-    if (!mz.found) {
-      // Unreachable pin (pathological pricing): return an incomplete route
-      // so the caller rejects it instead of committing broken geometry.
-      DGR_LOG_WARN("maze_reroute_net net %zu: %s", design_net,
-                   mz.status.to_string().c_str());
-      route.paths.clear();
-      return route;
-    }
-    dag::PatternPath path = routers::compress_cells(mz.cells);
-    for (const EdgeId e : path.edges(grid)) mine.add(e, 1.0);
-    for (const Point& cell : mz.cells) component.push_back(cell);
-    route.paths.push_back(std::move(path));
-    connected[next] = true;
+  routers::MazeConnection mc = routers::maze_connect(
+      grid, design.net(design_net).pins, price, [&](const dag::PatternPath& path) {
+        for (const EdgeId e : path.edges(grid)) mine.add(e, 1.0);
+      });
+  // Unreachable pin (pathological pricing): the empty route tells the
+  // caller to reject it instead of committing broken geometry.
+  if (!mc.status.ok()) {
+    DGR_LOG_WARN("maze_reroute_net net %zu: %s", design_net, mc.status.to_string().c_str());
   }
-  return route;
+  return {design_net, std::move(mc.paths)};
 }
 
 MazeRefineStats maze_refine(RouteSolution& sol, const std::vector<float>& capacities,
@@ -120,40 +92,22 @@ MazeRefineStats maze_refine(RouteSolution& sol, const std::vector<float>& capaci
   stats.overflow_before = demand.total_overflow(capacities);
 
   // Per-net acceptance is marginal and accepted moves interact, so rounds
-  // can still regress globally; keep the lexicographically best snapshot
-  // (# overflowed edges, total overflow, wirelength) — the initial solution
-  // included, which makes refinement monotone by construction.
-  auto snapshot_score = [&] {
-    std::int64_t wl = 0;
-    for (const NetRoute& net : sol.nets) {
-      for (const dag::PatternPath& p : net.paths) wl += p.length();
-    }
-    return std::tuple(demand.overflowed_edge_count(capacities),
-                      demand.total_overflow(capacities), wl);
-  };
+  // can still regress globally; keep the best snapshot — the initial
+  // solution included, which makes refinement monotone by construction.
   RouteSolution best = sol;
-  auto best_score = snapshot_score();
+  auto best_score = eval::reroute_score(sol, demand, capacities);
 
   for (int round = 0; round < options.max_rounds; ++round) {
     // Nets crossing overflowed edges, most-overflowed first.
-    std::vector<std::pair<double, std::size_t>> victims;
-    for (std::size_t i = 0; i < sol.nets.size(); ++i) {
-      double worst = 0.0;
-      for (const dag::PatternPath& p : sol.nets[i].paths) {
-        for (const EdgeId e : p.edges(design.grid())) {
-          worst = std::max(worst, demand.demand(e) -
-                                      static_cast<double>(
-                                          capacities[static_cast<std::size_t>(e)]));
-        }
-      }
-      if (worst > 1e-6) victims.emplace_back(worst, i);
-    }
+    std::vector<eval::OverflowedNet> victims =
+        eval::overflowed_nets(sol, demand, capacities);
     if (victims.empty()) break;
     std::stable_sort(victims.begin(), victims.end(),
-                     [](const auto& a, const auto& b) { return a.first > b.first; });
+                     [](const auto& a, const auto& b) { return a.worst > b.worst; });
 
     bool improved_any = false;
-    for (const auto& [worst, i] : victims) {
+    for (const eval::OverflowedNet& victim : victims) {
+      const std::size_t i = victim.slot;
       RouteSolution::apply_net(demand, design, sol.nets[i], options.via_beta, -1.0);
       const NetCost old_cost =
           net_cost(design, sol.nets[i], demand, capacities, options, via_scale);
@@ -173,7 +127,7 @@ MazeRefineStats maze_refine(RouteSolution& sol, const std::vector<float>& capaci
       RouteSolution::apply_net(demand, design, sol.nets[i], options.via_beta, +1.0);
     }
     stats.rounds_run = round + 1;
-    const auto score = snapshot_score();
+    const auto score = eval::reroute_score(sol, demand, capacities);
     if (score < best_score) {
       best_score = score;
       best = sol;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <tuple>
 
+#include "eval/metrics.hpp"
 #include "routers/maze.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -87,20 +87,8 @@ RouteSolution Cugr2Lite::route(Cugr2LiteStats* stats, const RouteSolution* warm_
   const auto& routable = design_.routable_nets();
   sol.nets.resize(routable.size());
 
-  // Warm start: adopt the prior solution's routes (same-design solutions
-  // only) so the run is pure rip-up-and-reroute from that state.
-  std::vector<char> seeded(routable.size(), 0);
-  if (warm_start != nullptr && warm_start->design == &design_) {
-    std::vector<std::size_t> slot_of(design_.net_count(), routable.size());
-    for (std::size_t i = 0; i < routable.size(); ++i) slot_of[routable[i]] = i;
-    for (const NetRoute& net : warm_start->nets) {
-      const std::size_t slot = slot_of[net.design_net];
-      if (slot == routable.size() || net.paths.empty()) continue;
-      sol.nets[slot] = net;
-      RouteSolution::apply_net(demand_, design_, sol.nets[slot], options_.via_beta, +1.0);
-      seeded[slot] = 1;
-    }
-  }
+  // Warm start: the run is pure rip-up-and-reroute from the prior state.
+  const std::vector<char> seeded = sol.seed_from(warm_start, demand_, options_.via_beta);
 
   // Initial sequential pass: short nets first (they have the least routing
   // flexibility, the classic sequential ordering heuristic).
@@ -121,18 +109,9 @@ RouteSolution Cugr2Lite::route(Cugr2LiteStats* stats, const RouteSolution* warm_
     ++rerouted;
   }
 
-  // RRR can regress on individual rounds; keep the best snapshot seen
-  // (fewest overflowed edges, then least total overflow, then wirelength).
-  auto score = [&] {
-    std::int64_t wl = 0;
-    for (const auto& net : sol.nets) {
-      for (const auto& p : net.paths) wl += p.length();
-    }
-    return std::tuple(demand_.overflowed_edge_count(capacities_),
-                      demand_.total_overflow(capacities_), wl);
-  };
+  // RRR can regress on individual rounds; keep the best snapshot seen.
   RouteSolution best = sol;
-  auto best_score = score();
+  auto best_score = eval::reroute_score(sol, demand_, capacities_);
 
   bool timed_out = false;
   int round = 0;
@@ -141,33 +120,21 @@ RouteSolution Cugr2Lite::route(Cugr2LiteStats* stats, const RouteSolution* warm_
       timed_out = true;
       break;
     }
-    // Collect nets crossing overflowed edges.
-    std::vector<std::size_t> victims;
-    for (std::size_t i = 0; i < sol.nets.size(); ++i) {
-      bool over = false;
-      for (const PatternPath& p : sol.nets[i].paths) {
-        for (const EdgeId e : p.edges(design_.grid())) {
-          if (demand_.demand(e) > capacities_[static_cast<std::size_t>(e)] + 1e-6) {
-            over = true;
-            break;
-          }
-        }
-        if (over) break;
-      }
-      if (over) victims.push_back(i);
-    }
+    const std::vector<eval::OverflowedNet> victims =
+        eval::overflowed_nets(sol, demand_, capacities_);
     if (victims.empty()) break;
 
     // Maze escape only in the later half of the RRR schedule.
     const bool allow_maze = round + 1 >= (options_.rrr_rounds + 1) / 2;
-    for (const std::size_t i : victims) {
+    for (const eval::OverflowedNet& victim : victims) {
+      const std::size_t i = victim.slot;
       RouteSolution::apply_net(demand_, design_, sol.nets[i], options_.via_beta, -1.0);
       sol.nets[i] = route_net(routable[i], allow_maze);
       RouteSolution::apply_net(demand_, design_, sol.nets[i], options_.via_beta, +1.0);
       ++rerouted;
     }
     DGR_LOG_DEBUG("cugr2lite round %d: %zu victims", round, victims.size());
-    const auto s = score();
+    const auto s = eval::reroute_score(sol, demand_, capacities_);
     if (s < best_score) {
       best_score = s;
       best = sol;

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <tuple>
 #include <utility>
 
+#include "eval/metrics.hpp"
 #include "routers/maze.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -120,16 +120,8 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
       RouteSolution::apply_net(dm, design_, net, options_.via_beta, +1.0);
     }
     // Repair-round interactions can regress globally; keep the best snapshot.
-    auto snapshot_score = [&] {
-      std::int64_t wl = 0;
-      for (const NetRoute& net : best.nets) {
-        for (const PatternPath& p : net.paths) wl += p.length();
-      }
-      return std::tuple(dm.overflowed_edge_count(capacities_),
-                        dm.total_overflow(capacities_), wl);
-    };
     RouteSolution repaired_best = best;
-    auto repaired_score = snapshot_score();
+    auto repaired_score = eval::reroute_score(best, dm, capacities_);
     for (int r = 0; r < options_.repair_rounds; ++r) {
       if (options_.deadline.expired()) {
         timed_out = true;
@@ -137,17 +129,8 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
       }
       bool changed = false;
       for (NetRoute& net : best.nets) {
-        bool over = false;
-        for (const PatternPath& p : net.paths) {
-          for (const EdgeId e : p.edges(grid)) {
-            if (dm.demand(e) > capacities_[static_cast<std::size_t>(e)] + 1e-6) {
-              over = true;
-              break;
-            }
-          }
-          if (over) break;
-        }
-        if (!over) continue;
+        // Checked against the live demand, so earlier reroutes this pass count.
+        if (eval::net_overflow(net, dm, capacities_, grid) == 0.0) continue;
 
         RouteSolution::apply_net(dm, design_, net, options_.via_beta, -1.0);
         // (weighted marginal cost, # edges this net pushes over capacity) —
@@ -196,7 +179,7 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
         }
         RouteSolution::apply_net(dm, design_, net, options_.via_beta, +1.0);
       }
-      const auto score = snapshot_score();
+      const auto score = eval::reroute_score(best, dm, capacities_);
       if (score < repaired_score) {
         repaired_score = score;
         repaired_best = best;

@@ -78,6 +78,43 @@ MazeResult maze_route(const GCellGrid& grid, const std::vector<Point>& sources,
   return result;
 }
 
+MazeConnection maze_connect(const GCellGrid& grid, const std::vector<Point>& net_pins,
+                            const std::function<double(EdgeId)>& edge_cost,
+                            const std::function<void(const PatternPath&)>& on_path) {
+  MazeConnection out;
+  const std::vector<Point> pins = geom::dedupe_points(net_pins);
+  std::vector<Point> component{pins.front()};
+  std::vector<bool> connected(pins.size(), false);
+  connected[0] = true;
+  for (std::size_t step = 1; step < pins.size(); ++step) {
+    std::size_t next = pins.size();
+    std::int64_t best_d = std::numeric_limits<std::int64_t>::max();
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+      if (connected[i]) continue;
+      for (const Point& c : component) {
+        const std::int64_t d = geom::manhattan(pins[i], c);
+        if (d < best_d) {
+          best_d = d;
+          next = i;
+        }
+      }
+    }
+    const MazeResult mz = maze_route(grid, component, pins[next], edge_cost);
+    if (!mz.found) {
+      // Only a pathological cost (e.g. +inf walls) strands a pin on the
+      // connected grid. Return no geometry rather than a partial net.
+      out.paths.clear();
+      out.status = mz.status;
+      return out;
+    }
+    out.paths.push_back(compress_cells(mz.cells));
+    if (on_path) on_path(out.paths.back());
+    component.insert(component.end(), mz.cells.begin(), mz.cells.end());
+    connected[next] = true;
+  }
+  return out;
+}
+
 PatternPath compress_cells(const std::vector<Point>& cells) {
   PatternPath path;
   if (cells.empty()) return path;

@@ -1,8 +1,9 @@
 #pragma once
 // Shared maze-routing machinery for the sequential baseline routers and the
 // post-processing refinement stage: multi-source Dijkstra over the g-cell
-// graph with a caller-supplied edge cost, and helpers to turn cell walks
-// into PatternPath polylines.
+// graph with a caller-supplied edge cost, the nearest-pin-first net
+// connector built on it, and helpers to turn cell walks into PatternPath
+// polylines.
 
 #include <functional>
 #include <vector>
@@ -35,6 +36,22 @@ struct MazeResult {
 /// empty source set (kInvalidArgument); `cells` is empty unless found.
 MazeResult maze_route(const GCellGrid& grid, const std::vector<Point>& sources,
                       Point target, const std::function<double(EdgeId)>& edge_cost);
+
+/// One net's maze-routed paths, or empty paths and the search's status when
+/// a pin was unreachable.
+struct MazeConnection {
+  std::vector<PatternPath> paths;
+  Status status;
+};
+
+/// Connects a net's pins (deduplicated) by growing one component from the
+/// first pin: each step searches from every cell of the component to the
+/// unconnected pin nearest to it (Manhattan), under `edge_cost`. `on_path`,
+/// when set, sees each new path before the next search, so a caller can
+/// make the net's own wires cheaper for its later legs.
+MazeConnection maze_connect(const GCellGrid& grid, const std::vector<Point>& pins,
+                            const std::function<double(EdgeId)>& edge_cost,
+                            const std::function<void(const PatternPath&)>& on_path = {});
 
 /// Compresses a cell walk into a waypoint polyline (collinear runs merged).
 /// The result is a valid PatternPath geometry (possibly non-monotone).

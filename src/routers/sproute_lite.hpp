@@ -47,7 +47,6 @@ class SpRouteLite {
                             const eval::RouteSolution* warm_start = nullptr);
 
  private:
-  eval::NetRoute route_net(std::size_t design_net);
   double edge_cost(grid::EdgeId e) const;
 
   const design::Design& design_;

@@ -515,15 +515,7 @@ Response Server::handle_route(Job& job) {
   const int partitions =
       req.has_partitions ? req.partitions : options_.default_partitions;
   std::string effective_router = router;
-  if (partitions >= 2 && router != "partitioned") {
-    if (router == "maze-refine") {
-      return error_response(
-          req.id, op_name(req.op),
-          Status(StatusCode::kInvalidArgument,
-                 "'partitions' cannot wrap warm-start-only router 'maze-refine'"));
-    }
-    effective_router = "partitioned";
-  }
+  if (partitions >= 2 && router != "partitioned") effective_router = "partitioned";
 
   std::lock_guard<std::mutex> session_lock(session->mu);
   pipeline::RoutingContext& ctx = session->context();

@@ -398,9 +398,6 @@ void run_differential(const std::string& router, std::uint64_t seed,
 
 TEST(EcoDifferential, EveryRouterAgreesWithScratchAcrossMutationMatrix) {
   for (const std::string& router : pipeline::registered_routers()) {
-    const auto probe = pipeline::make_router(router);
-    ASSERT_NE(probe, nullptr);
-    if (probe->requires_warm_start()) continue;  // no from-scratch referent
     SCOPED_TRACE(router);
     DifferentialOutcome out;
     run_differential(router, 11, /*check_against_scratch=*/true, &out);
@@ -419,9 +416,6 @@ TEST(EcoDifferential, SecondSeedAgreesToo) {
 
 TEST(EcoDifferential, BitwiseDeterministicAcrossWorkerCounts) {
   for (const std::string& router : pipeline::registered_routers()) {
-    const auto probe = pipeline::make_router(router);
-    ASSERT_NE(probe, nullptr);
-    if (probe->requires_warm_start()) continue;
     SCOPED_TRACE(router);
     std::string reference;
     for (const int workers : {1, 2, 4}) {

@@ -327,6 +327,22 @@ TEST(PartitionedRouter, PassesTheValidationGateThroughThePipeline) {
   EXPECT_GT(result.stats.stage_seconds("route_total"), 0.0);
 }
 
+TEST(PartitionedRouter, UnknownRegionRouterFailsBeforeAnyRegionWork) {
+  util::set_log_level(util::LogLevel::kOff);
+  const design::Design d = test_design();
+  pipeline::RouterOptions options = fast_options(4);
+  options.partition.region_router = "no-such-router";
+  pipeline::RoutingContext ctx(d);
+  pipeline::Pipeline pipe(ctx);
+  const pipeline::PipelineResult result = pipe.run("partitioned", options);
+  EXPECT_EQ(result.stats.status.code(), StatusCode::kNotFound);
+  EXPECT_FALSE(result.stats.degraded);
+  EXPECT_EQ(result.stats.repaired_nets, 0);
+  EXPECT_TRUE(result.stats.children.empty());
+  EXPECT_TRUE(result.solution.nets.empty());
+  util::set_log_level(util::LogLevel::kWarn);
+}
+
 TEST(PartitionedRouter, BitwiseDeterministicAcrossWorkerCounts) {
   util::set_log_level(util::LogLevel::kWarn);
   const design::Design d = test_design();

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 
@@ -135,25 +134,16 @@ TEST(Registry, ResolvesAllFourRoutersByName) {
     const std::unique_ptr<Router> r = make_router(name);
     ASSERT_NE(r, nullptr) << name;
     EXPECT_EQ(r->name(), name);
-    EXPECT_FALSE(r->requires_warm_start()) << name;
   }
-  EXPECT_TRUE(has_router("maze-refine"));
-  EXPECT_TRUE(make_router("maze-refine")->requires_warm_start());
+  EXPECT_EQ(registered_routers(),
+            (std::vector<std::string>{"cugr2-lite", "dgr", "lagrangian", "partitioned",
+                                      "sproute-lite"}));
 }
 
 TEST(Registry, UnknownNameReturnsNull) {
   EXPECT_FALSE(has_router("no-such-router"));
   EXPECT_EQ(make_router("no-such-router"), nullptr);
-}
-
-TEST(Registry, CustomRegistrationIsVisible) {
-  register_router("custom-cugr2", [](const RouterOptions& o) {
-    return std::make_unique<Cugr2Router>(o.cugr2);
-  });
-  EXPECT_TRUE(has_router("custom-cugr2"));
-  const auto names = registered_routers();
-  EXPECT_NE(std::find(names.begin(), names.end(), "custom-cugr2"), names.end());
-  EXPECT_NE(make_router("custom-cugr2"), nullptr);
+  EXPECT_FALSE(has_router("maze-refine"));  // refinement is a StagePlan stage
 }
 
 // ---------------------------------------------------------------------------
@@ -167,19 +157,10 @@ TEST(Differential, EveryRegisteredRouterRoutesTheSameDesignLegally) {
   RoutingContext ctx(d);
   Pipeline pipe(ctx);
 
-  eval::RouteSolution first_cold;  // feeds warm-start-only routers below
   for (const std::string& name : registered_routers()) {
     const std::unique_ptr<Router> router = make_router(name, fast_options());
     ASSERT_NE(router, nullptr) << name;
-
-    PipelineResult result;
-    if (router->requires_warm_start()) {
-      ASSERT_FALSE(first_cold.nets.empty());
-      result = pipe.rerun(*router, first_cold);
-    } else {
-      result = pipe.run(*router);
-      if (first_cold.nets.empty()) first_cold = result.solution;
-    }
+    const PipelineResult result = pipe.run(*router);
 
     // Fully connected and direction-legal.
     ASSERT_EQ(result.solution.nets.size(), d.routable_nets().size()) << name;
@@ -310,21 +291,6 @@ TEST(Pipeline, UnknownRouterNameYieldsEmptyResult) {
 // Warm start
 // ---------------------------------------------------------------------------
 
-TEST(WarmStart, MazeRefineImprovesOrMatchesPriorSolution) {
-  util::set_log_level(util::LogLevel::kWarn);
-  const design::Design d = small_design(/*seed=*/99);
-  RoutingContext ctx(d);
-  Pipeline pipe(ctx);
-
-  const PipelineResult cold = pipe.run("dgr", fast_options());
-  const PipelineResult refined = pipe.rerun("maze-refine", cold.solution);
-  EXPECT_TRUE(refined.solution.connects_all_pins());
-  // maze_refine is monotone in the weighted (overflow, WL, via) cost; at
-  // minimum the overflow must not regress.
-  EXPECT_LE(refined.metrics.total_overflow, cold.metrics.total_overflow + 1e-9);
-  EXPECT_EQ(refined.stats.counter("warm_started", 1.0), 1.0);
-}
-
 TEST(WarmStart, Cugr2RrrReentryNeverWorsensOverflowEdges) {
   util::set_log_level(util::LogLevel::kWarn);
   const design::Design d = small_design(/*seed=*/31);
@@ -338,16 +304,6 @@ TEST(WarmStart, Cugr2RrrReentryNeverWorsensOverflowEdges) {
   // Cugr2Lite keeps its best-seen snapshot, which includes the warm-start
   // state itself, so the RRR re-entry cannot regress the edge count.
   EXPECT_LE(warm.metrics.overflow_edges, prior.metrics.overflow_edges);
-}
-
-TEST(WarmStart, MazeRefineWithoutPriorReturnsEmpty) {
-  util::set_log_level(util::LogLevel::kError);
-  const design::Design d = small_design();
-  RoutingContext ctx(d);
-  MazeRefineRouter router;
-  ctx.clear_warm_start();
-  const eval::RouteSolution sol = router.route(ctx);
-  EXPECT_TRUE(sol.nets.empty());
 }
 
 TEST(WarmStart, ColdRunClearsPreviousWarmState) {
@@ -374,14 +330,27 @@ TEST(Pipeline, UnknownRouterNameReportsNotFoundStatus) {
   util::set_log_level(util::LogLevel::kWarn);
 }
 
-TEST(Pipeline, ColdMazeRefineSurfacesInvalidArgumentNotFallback) {
-  // A refinement-only router run cold is a caller error: it must surface a
-  // typed status, never silently degrade to a different engine.
+/// A router whose every run ends in a caller error.
+class InvalidArgumentRouter : public Router {
+ public:
+  std::string_view name() const override { return "invalid-argument"; }
+  eval::RouteSolution route(RoutingContext&) override {
+    reset_stats();
+    stats_.status = Status(StatusCode::kInvalidArgument, "bad request");
+    return {};
+  }
+};
+
+TEST(Pipeline, NonDegradableStatusSurfacesInvalidArgumentNotFallback) {
+  // A caller error must surface as a typed status, never silently degrade
+  // to the configured fallback engine.
   util::set_log_level(util::LogLevel::kError);
   const design::Design d = small_design();
   RoutingContext ctx(d);
   Pipeline pipe(ctx);
-  const PipelineResult r = pipe.run("maze-refine");
+  ASSERT_FALSE(pipe.options().budgets.fallback_router.empty());
+  InvalidArgumentRouter router;
+  const PipelineResult r = pipe.run(router);
   EXPECT_EQ(r.stats.status.code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(r.stats.degraded);
   EXPECT_TRUE(r.solution.nets.empty());

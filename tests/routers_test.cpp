@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <limits>
 
 #include "design/generator.hpp"
 #include "eval/metrics.hpp"
+#include "pipeline/context.hpp"
+#include "pipeline/validate.hpp"
+#include "post/maze_refine.hpp"
 #include "routers/cugr2lite.hpp"
 #include "routers/lagrangian.hpp"
 #include "routers/maze.hpp"
@@ -333,6 +337,144 @@ TEST(Lagrangian, RepairPhaseNeverWorsensOverflow) {
   const auto ma = eval::compute_metrics(a.route(), cap);
   const auto mb = eval::compute_metrics(b.route(), cap);
   EXPECT_LE(mb.overflow_edges, ma.overflow_edges);
+}
+
+// ---------------------------------------------------------------------------
+// Golden rip-up-and-reroute outputs: every reroute loop in the repo, run on
+// one fixed congested fixture, must reproduce these routes exactly.
+// ---------------------------------------------------------------------------
+
+struct Golden {
+  std::int64_t overflow_edges;
+  double total_overflow;
+  std::int64_t wirelength;
+  std::int64_t bends;
+  std::uint64_t hash;  ///< FNV-1a over every net, path and waypoint
+};
+
+Golden golden_of(const eval::RouteSolution& sol, const std::vector<float>& cap) {
+  const eval::Metrics m = eval::compute_metrics(sol, cap);
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::int64_t v) {
+    h ^= static_cast<std::uint64_t>(v);
+    h *= 1099511628211ull;
+  };
+  for (const eval::NetRoute& net : sol.nets) {
+    mix(static_cast<std::int64_t>(net.design_net));
+    mix(static_cast<std::int64_t>(net.paths.size()));
+    for (const dag::PatternPath& path : net.paths) {
+      mix(static_cast<std::int64_t>(path.waypoints.size()));
+      for (const Point& p : path.waypoints) {
+        mix(p.x);
+        mix(p.y);
+      }
+    }
+  }
+  return {m.overflow_edges, m.total_overflow, m.wirelength, m.bends, h};
+}
+
+void expect_golden(const eval::RouteSolution& sol, const std::vector<float>& cap,
+                   const Golden& want, const char* run) {
+  const Golden got = golden_of(sol, cap);
+  EXPECT_EQ(got.overflow_edges, want.overflow_edges) << run;
+  EXPECT_EQ(got.total_overflow, want.total_overflow) << run;
+  EXPECT_EQ(got.wirelength, want.wirelength) << run;
+  EXPECT_EQ(got.bends, want.bends) << run;
+  EXPECT_EQ(got.hash, want.hash) << run;
+}
+
+/// `sol` with every `stride`-th net's paths removed, and the emptied slots.
+eval::RouteSolution with_emptied_nets(eval::RouteSolution sol, std::size_t stride,
+                                      std::vector<std::size_t>* emptied = nullptr) {
+  for (std::size_t i = 0; i < sol.nets.size(); i += stride) {
+    sol.nets[i].paths.clear();
+    if (emptied != nullptr) emptied->push_back(i);
+  }
+  return sol;
+}
+
+/// Congested enough that every loop has victims, loose enough that the
+/// Lagrangian repair and maze refinement accept some reroutes.
+Design reroute_design() {
+  design::IspdLikeParams p;
+  p.name = "reroute";
+  p.grid_w = p.grid_h = 24;
+  p.num_nets = 250;
+  p.layers = 5;
+  p.tracks_per_layer = 3;
+  p.hotspots = 2;
+  p.hotspot_affinity = 0.6;
+  return design::generate_ispd_like(p, 5);
+}
+
+TEST(Reroute, GoldenOutputsOnCongestedFixture) {
+  util::set_log_level(util::LogLevel::kError);
+  const Design d = reroute_design();
+  const std::vector<float> cap = d.capacities();
+  bool multi_pin = false;
+  for (const std::size_t n : d.routable_nets()) {
+    multi_pin |= geom::dedupe_points(d.net(n).pins).size() >= 3;
+  }
+  ASSERT_TRUE(multi_pin);
+
+  Cugr2LiteStats cugr2_stats;
+  const eval::RouteSolution cugr2 = Cugr2Lite(d, cap).route(&cugr2_stats);
+  expect_golden(cugr2, cap, {15, 29.625, 1614, 403, 0x980f15619286c119ull},
+                "cugr2-lite cold");
+  EXPECT_GT(cugr2_stats.rounds_run, 0);
+
+  SpRouteLiteStats sproute_stats;
+  const eval::RouteSolution sproute = SpRouteLite(d, cap).route(&sproute_stats);
+  expect_golden(sproute, cap, {19, 27.25, 1284, 383, 0x58d7c8c320d79cd0ull},
+                "sproute-lite cold");
+  EXPECT_GT(sproute_stats.rounds_run, 0);
+
+  // Warm starts from the other engine's result with some nets missing, so
+  // both the seeded and the cold-routed branches run.
+  const eval::RouteSolution sproute_prior = with_emptied_nets(sproute, 7);
+  Cugr2LiteStats cugr2_warm_stats;
+  const eval::RouteSolution cugr2_warm =
+      Cugr2Lite(d, cap).route(&cugr2_warm_stats, &sproute_prior);
+  expect_golden(cugr2_warm, cap, {16, 31.75, 1566, 443, 0x8a33bd1075712decull},
+                "cugr2-lite warm");
+  EXPECT_GT(cugr2_warm_stats.nets_rerouted, 0);
+
+  const eval::RouteSolution cugr2_prior = with_emptied_nets(cugr2, 7);
+  SpRouteLiteStats sproute_warm_stats;
+  const eval::RouteSolution sproute_warm =
+      SpRouteLite(d, cap).route(&sproute_warm_stats, &cugr2_prior);
+  expect_golden(sproute_warm, cap, {17, 24.375, 1308, 342, 0x45a839d636315b73ull},
+                "sproute-lite warm");
+  EXPECT_GT(sproute_warm_stats.reroutes, 0);
+
+  const eval::RouteSolution lagrangian = LagrangianRouter(d, cap).route();
+  expect_golden(lagrangian, cap, {22, 33.125, 1198, 280, 0x9149f561bee1bf44ull},
+                "lagrangian");
+  LagrangianOptions no_repair;
+  no_repair.repair_rounds = 0;
+  const eval::RouteSolution lagrangian_dual = LagrangianRouter(d, cap, no_repair).route();
+  EXPECT_NE(golden_of(lagrangian, cap).hash, golden_of(lagrangian_dual, cap).hash);
+
+  eval::RouteSolution refined = cugr2;
+  const post::MazeRefineStats refine_stats = post::maze_refine(refined, cap);
+  expect_golden(refined, cap, {12, 24.375, 1515, 376, 0xa13cd81c283f22ccull},
+                "maze_refine");
+  EXPECT_GT(refine_stats.nets_rerouted, 0);
+  EXPECT_GT(refine_stats.nets_improved, 0);
+
+  std::vector<std::size_t> broken;
+  eval::RouteSolution repaired = with_emptied_nets(cugr2, 5, &broken);
+  pipeline::RoutingContext ctx(d);
+  ctx.commit(repaired);
+  EXPECT_EQ(pipeline::repair_broken_nets(ctx, repaired, broken),
+            static_cast<std::int64_t>(broken.size()));
+  expect_golden(repaired, cap, {23, 32.5, 1590, 399, 0x5d10bba58eaeadf7ull},
+                "repair_broken_nets");
+
+  EXPECT_EQ(eval::nets_with_overflow(cugr2, cap), 46);
+  EXPECT_EQ(eval::nets_with_overflow(sproute, cap), 50);
+  EXPECT_EQ(eval::nets_with_overflow(lagrangian, cap), 58);
+  util::set_log_level(util::LogLevel::kWarn);
 }
 
 }  // namespace

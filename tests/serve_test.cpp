@@ -509,15 +509,17 @@ TEST(ServeServer, PartitionsOptionRoutesThroughPartitionedEngine) {
   EXPECT_EQ(plain.find("result")->find("router")->as_string(), "cugr2-lite");
   EXPECT_EQ(plain.find("result")->find("partitions")->as_number(), 1.0);
 
-  // Warm-start-only routers cannot be wrapped in a partitioned run.
-  RouteSpec maze;
-  maze.id = "pm";
-  maze.session = "s1";
-  maze.router = "maze-refine";
-  maze.partitions = 2;
-  const Value refused = expect_valid_response(server.call(route_line(maze)));
+  // An unknown router is refused before any partitioning.
+  RouteSpec unknown;
+  unknown.id = "pm";
+  unknown.session = "s1";
+  unknown.router = "maze-refine";
+  unknown.partitions = 2;
+  const Value refused = expect_valid_response(server.call(route_line(unknown)));
   EXPECT_FALSE(response_ok(refused));
   EXPECT_EQ(error_code(refused), "INVALID_ARGUMENT");
+  EXPECT_NE(refused.find("error")->find("message")->as_string().find("unknown router"),
+            std::string::npos);
 
   // "stats" publishes the active partition configuration.
   const Value stats = expect_valid_response(server.call(R"({"id":"st","op":"stats"})"));
