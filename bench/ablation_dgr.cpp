@@ -1,5 +1,6 @@
 // Ablation bench (beyond the paper's tables): isolates the contribution of
-// each DGR design choice on one congested case:
+// each DGR design choice on one congested case, generated from each of four
+// fixed seeds:
 //   - Gumbel noise vs plain softmax                       (Section 4.4)
 //   - temperature annealing on vs off                     (Section 4.4)
 //   - top-p extraction vs pure argmax                     (Section 4.5)
@@ -30,9 +31,7 @@ int main() {
   const int iters = std::max(100, bench::dgr_iterations() / 2);
   auto presets = design::table2_presets(bench::bench_scale());
   const auto& preset = presets[0];  // ispd18_5m-like congested case
-  const design::Design d = design::generate_ispd_like(preset, /*seed=*/707);
-  pipeline::RoutingContext ctx(d);
-  pipeline::Pipeline pipe(ctx);
+  constexpr std::uint64_t kSeeds[] = {707, 1, 2, 3};
 
   core::DgrConfig base;
   base.iterations = iters;
@@ -91,41 +90,47 @@ int main() {
     variants.push_back(v);
   }
 
-  eval::TablePrinter table({"variant", "paths", "ovf edges", "total ovf", "WL",
+  eval::TablePrinter table({"seed", "variant", "paths", "ovf edges", "total ovf", "WL",
                             "vias", "solve (s)"});
   obs::BenchEmitter emitter = bench::make_emitter(
       "ablation_dgr", "ablation of DGR paper Sections 3.1/4.2/4.4-4.6");
   emitter.set_config("case", preset.name);
 
-  for (const Variant& v : variants) {
-    pipeline::RouterOptions ro;
-    ro.dgr = v.config;
-    ro.forest = v.forest;
-    const pipeline::PipelineResult r = pipe.run(
-        "dgr", ro, pipeline::StagePlan{.maze_refine = v.refine, .layer_assign = true});
-    const double secs = bench::dgr_solve_seconds(r.stats) +
-                        r.stats.stage_seconds("maze_refine");
-    table.add_row({v.name,
-                   eval::fmt_int(static_cast<std::int64_t>(
-                       r.stats.counter("path_candidates"))),
-                   eval::fmt_int(r.metrics.overflow_edges),
-                   eval::fmt_double(r.metrics.total_overflow, 1),
-                   eval::fmt_int(r.metrics.wirelength),
-                   eval::fmt_int(r.layers.via_count), eval::fmt_double(secs, 2)});
+  for (const std::uint64_t seed : kSeeds) {
+    const design::Design d = design::generate_ispd_like(preset, seed);
+    pipeline::RoutingContext ctx(d);
+    pipeline::Pipeline pipe(ctx);
+    for (const Variant& v : variants) {
+      pipeline::RouterOptions ro;
+      ro.dgr = v.config;
+      ro.forest = v.forest;
+      const pipeline::PipelineResult r = pipe.run(
+          "dgr", ro, pipeline::StagePlan{.maze_refine = v.refine, .layer_assign = true});
+      const double secs = bench::dgr_solve_seconds(r.stats) +
+                          r.stats.stage_seconds("maze_refine");
+      table.add_row({std::to_string(seed), v.name,
+                     eval::fmt_int(static_cast<std::int64_t>(
+                         r.stats.counter("path_candidates"))),
+                     eval::fmt_int(r.metrics.overflow_edges),
+                     eval::fmt_double(r.metrics.total_overflow, 1),
+                     eval::fmt_int(r.metrics.wirelength),
+                     eval::fmt_int(r.layers.via_count), eval::fmt_double(secs, 2)});
 
-    emitter.add_row(v.name)
-        .metric("path_candidates", r.stats.counter("path_candidates"))
-        .metric("ovf_edges", r.metrics.overflow_edges)
-        .metric("total_overflow", r.metrics.total_overflow)
-        .metric("wirelength", static_cast<double>(r.metrics.wirelength))
-        .metric("vias", static_cast<double>(r.layers.via_count))
-        .metric("solve_seconds", secs)
-        .stages(bench::stage_pairs(r.stats));
+      emitter.add_row(v.name + " @ seed " + std::to_string(seed))
+          .metric("seed", static_cast<double>(seed))
+          .metric("path_candidates", r.stats.counter("path_candidates"))
+          .metric("ovf_edges", r.metrics.overflow_edges)
+          .metric("total_overflow", r.metrics.total_overflow)
+          .metric("wirelength", static_cast<double>(r.metrics.wirelength))
+          .metric("vias", static_cast<double>(r.layers.via_count))
+          .metric("solve_seconds", secs)
+          .stages(bench::stage_pairs(r.stats));
+    }
   }
   emitter.write();
 
   table.print(std::cout);
-  std::cout << "\nReading guide: each row flips one design choice of DGR; the baseline\n"
-            << "row should be at or near the best overflow-edge count.\n";
+  std::cout << "\nReading guide: each row flips one design choice of DGR on the design\n"
+            << "generated from its seed; compare rows against the baseline of the same seed.\n";
   return 0;
 }

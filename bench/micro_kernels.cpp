@@ -5,8 +5,8 @@
 // scalar rows pin the SIMD toggle off, and *Avx2 rows (skipped unless built
 // with -DDGR_SIMD=ON) report the AVX2 kernel paths separately. The custom
 // main() additionally emits BENCH_micro_kernels.json (dgr-bench-v1: one row
-// per benchmark with ns/iter, plus fused-vs-reference and AVX2-vs-scalar
-// speedup summaries) into the working dir.
+// per benchmark with ns/iter, plus AVX2-vs-scalar speedup summaries) into
+// the working dir.
 
 #include <benchmark/benchmark.h>
 
@@ -102,9 +102,9 @@ void BM_DgrTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_DgrTrainStep)->Arg(500)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
 
-/// Fused vs unfused selection+demand kernel (softmax -> coupling -> scatter)
-/// on the real relaxation structure of an ispd-like design, forward+backward
-/// on a reused tape. Args: {nets, workers, fused}.
+/// The fused selection+demand kernel (softmax -> coupling -> scatter) on the
+/// real relaxation structure of an ispd-like design, forward+backward on a
+/// reused tape. Args: {nets, workers}.
 void selection_demand_bench(benchmark::State& state, bool simd) {
   if (simd && !ad::simd::compiled_in()) {
     state.SkipWithError("built without DGR_SIMD");
@@ -113,7 +113,6 @@ void selection_demand_bench(benchmark::State& state, bool simd) {
   SimdPin pin(simd);
   const auto nets = static_cast<int>(state.range(0));
   const auto workers = static_cast<std::size_t>(state.range(1));
-  const bool fused = state.range(2) != 0;
   SolverFixture fx(nets);
   util::set_worker_count(workers);
   const core::Relaxation& r = fx.solver->relaxation();
@@ -124,22 +123,12 @@ void selection_demand_bench(benchmark::State& state, bool simd) {
     tape.reset();
     const ad::NodeId pl = tape.input(params.data(), np);
     const ad::NodeId tl = tape.input(params.data() + np, r.tree_count());
-    ad::NodeId eff, demand;
-    if (fused) {
-      const ad::FusedSelectionDemand sel = ad::fused_softmax_demand(
-          tape, pl, tl, r.path_group_offsets, r.tree_group_offsets, r.path_tree,
-          r.tree_path_offsets, r.incidence, 1.0f, nullptr, nullptr);
-      eff = sel.eff;
-      demand = sel.demand;
-    } else {
-      const ad::NodeId p = ad::segment_softmax(tape, pl, r.path_group_offsets, 1.0f);
-      const ad::NodeId q = ad::segment_softmax(tape, tl, r.tree_group_offsets, 1.0f);
-      eff = ad::gather_mul(tape, q, r.path_tree, p);
-      demand = ad::spmv(tape, eff, r.incidence);
-    }
-    tape.backward(ad::combine(tape,
-                              {ad::weighted_sum(tape, demand), ad::weighted_sum(tape, eff)},
-                              {1.0f, 1.0f}));
+    const ad::FusedSelectionDemand sel = ad::fused_softmax_demand(
+        tape, pl, tl, r.path_group_offsets, r.tree_group_offsets, r.path_tree,
+        r.tree_path_offsets, r.incidence, 1.0f, nullptr, nullptr);
+    tape.backward(ad::combine(
+        tape, {ad::weighted_sum(tape, sel.demand), ad::weighted_sum(tape, sel.eff)},
+        {1.0f, 1.0f}));
   }
   util::set_worker_count(0);
   state.counters["paths"] = static_cast<double>(np);
@@ -148,19 +137,15 @@ void selection_demand_bench(benchmark::State& state, bool simd) {
 void BM_SelectionDemandKernel(benchmark::State& state) {
   selection_demand_bench(state, false);
 }
-BENCHMARK(BM_SelectionDemandKernel)
-    ->Args({2000, 1, 0})
-    ->Args({2000, 1, 1})
-    ->Args({2000, 4, 0})
-    ->Args({2000, 4, 1});
+BENCHMARK(BM_SelectionDemandKernel)->Args({2000, 1})->Args({2000, 4});
 
 void BM_SelectionDemandKernelAvx2(benchmark::State& state) {
   selection_demand_bench(state, true);
 }
-BENCHMARK(BM_SelectionDemandKernelAvx2)->Args({2000, 4, 1});
+BENCHMARK(BM_SelectionDemandKernelAvx2)->Args({2000, 4});
 
-/// Fused vs unfused overflow cost (subtract capacity -> activation -> sum),
-/// forward+backward on a reused tape. Args: {n, workers, fused}.
+/// The fused overflow cost (subtract capacity -> activation -> sum),
+/// forward+backward on a reused tape. Args: {n, workers}.
 void overflow_kernel_bench(benchmark::State& state, bool simd) {
   if (simd && !ad::simd::compiled_in()) {
     state.SkipWithError("built without DGR_SIMD");
@@ -169,7 +154,6 @@ void overflow_kernel_bench(benchmark::State& state, bool simd) {
   SimdPin pin(simd);
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto workers = static_cast<std::size_t>(state.range(1));
-  const bool fused = state.range(2) != 0;
   util::Rng rng(3);
   const std::vector<float> x0 = randu(rng, n);
   const std::vector<float> cap(n, 0.1f);
@@ -178,27 +162,16 @@ void overflow_kernel_bench(benchmark::State& state, bool simd) {
   for (auto _ : state) {
     tape.reset();
     const ad::NodeId x = tape.input(x0);
-    const ad::NodeId cost =
-        fused ? ad::fused_overflow_cost(tape, x, cap, ad::Activation::kSigmoid)
-              : ad::weighted_sum(
-                    tape, ad::apply_activation(tape, ad::sub_const(tape, x, cap),
-                                               ad::Activation::kSigmoid));
-    tape.backward(cost);
+    tape.backward(ad::fused_overflow_cost(tape, x, cap, ad::Activation::kSigmoid));
   }
   util::set_worker_count(0);
 }
 
 void BM_OverflowKernel(benchmark::State& state) { overflow_kernel_bench(state, false); }
-BENCHMARK(BM_OverflowKernel)
-    ->Args({1 << 14, 1, 0})
-    ->Args({1 << 14, 1, 1})
-    ->Args({1 << 14, 4, 0})
-    ->Args({1 << 14, 4, 1})
-    ->Args({1 << 16, 4, 0})
-    ->Args({1 << 16, 4, 1});
+BENCHMARK(BM_OverflowKernel)->Args({1 << 14, 1})->Args({1 << 14, 4})->Args({1 << 16, 4});
 
 void BM_OverflowKernelAvx2(benchmark::State& state) { overflow_kernel_bench(state, true); }
-BENCHMARK(BM_OverflowKernelAvx2)->Args({1 << 14, 4, 1})->Args({1 << 16, 4, 1});
+BENCHMARK(BM_OverflowKernelAvx2)->Args({1 << 14, 4})->Args({1 << 16, 4});
 
 void BM_ForestBuild(benchmark::State& state) {
   util::LogSilencer quiet;
@@ -292,15 +265,6 @@ void write_json(const std::vector<std::pair<std::string, double>>& results,
                             "per-iteration kernel costs behind Fig. 5a (DAC'24)");
   for (const auto& [name, ns] : results) {
     emitter.add_row(name).metric("ns_per_iter", ns);
-  }
-  // For every benchmark whose last argument is the fused flag, report
-  // unfused ns / fused ns under the name with the flag stripped.
-  for (const auto& [name, unfused_ns] : results) {
-    if (name.size() < 2 || name.compare(name.size() - 2, 2, "/0") != 0) continue;
-    const std::string base = name.substr(0, name.size() - 2);
-    const double fused_ns = find_ns(results, base + "/1");
-    if (fused_ns <= 0.0) continue;
-    emitter.summary("fused_speedup/" + base, unfused_ns / fused_ns);
   }
   // AVX2 speedup over the scalar row of the same case (DGR_SIMD builds only).
   for (const auto& [name, avx2_ns] : results) {

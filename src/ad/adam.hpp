@@ -30,7 +30,6 @@ class Adam {
 
   std::int64_t iteration() const { return t_; }
   const AdamConfig& config() const { return config_; }
-  void set_learning_rate(double lr) { config_.lr = lr; }
 
   /// Zeroes the moment estimates and step count. Used by the solver's
   /// divergence rollback: stale moments computed from a poisoned trajectory

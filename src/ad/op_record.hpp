@@ -27,10 +27,6 @@ struct NodeId {
 
 enum class OpKind : std::uint8_t {
   kSegmentSoftmax,
-  kGatherMul,
-  kSpmv,
-  kSubConst,
-  kActivation,
   kWeightedSum,
   kCombine,
   kFusedSoftmaxDemand,
@@ -40,32 +36,12 @@ enum class OpKind : std::uint8_t {
 struct OpRecord {
   OpKind kind = OpKind::kSegmentSoftmax;
   std::uint8_t act = 0;  ///< ad::Activation, stored raw to avoid an ops.hpp cycle
-  float scalar = 0.0f;   ///< temperature (softmaxes) or alpha (activations)
+  float scalar = 0.0f;   ///< temperature (softmaxes) or alpha (fused overflow)
 
   struct SoftmaxRec {
     std::int32_t x, out;
     const std::int32_t* offsets;
     std::uint32_t groups;
-  };
-  struct GatherMulRec {
-    std::int32_t q, p, out;
-    const std::int32_t* index;
-    std::uint32_t n;
-  };
-  struct SpmvRec {  ///< transpose CSR only — that is all backward needs
-    std::int32_t x, out;
-    const std::uint32_t* offsets;
-    const std::int32_t* cols;
-    const float* weights;
-    std::uint32_t rows;  ///< == size of x
-  };
-  struct SubConstRec {
-    std::int32_t x, out;
-    std::uint32_t n;
-  };
-  struct ActivationRec {
-    std::int32_t x, out;
-    std::uint32_t n;
   };
   struct WeightedSumRec {
     std::int32_t x, out;
@@ -99,10 +75,6 @@ struct OpRecord {
 
   union {
     SoftmaxRec softmax;
-    GatherMulRec gather;
-    SpmvRec spmv;
-    SubConstRec subc;
-    ActivationRec activation;
     WeightedSumRec wsum;
     CombineRec combine;
     FusedSelRec fused_sel;

@@ -1,7 +1,6 @@
 #include "ad/ops.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -179,81 +178,6 @@ void backward_segment_softmax(Tape& tape, const OpRecord& rec) {
       /*grain=*/256);
 }
 
-void backward_gather_mul(Tape& tape, const OpRecord& rec) {
-  const auto& r = rec.u.gather;
-  const std::size_t n = r.n;
-  const float* qv = tape.value(nid(r.q)).data();
-  const float* pv = tape.value(nid(r.p)).data();
-  const double* gy = tape.grad(nid(r.out)).data();
-  double* gq = tape.mutable_grad(nid(r.q)).data();
-  double* gp = tape.mutable_grad(nid(r.p)).data();
-  const std::int32_t* index = r.index;
-  util::ParallelRuntime::for_blocked(
-      0, n,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          gp[i] += gy[i] * qv[static_cast<std::size_t>(index[i])];
-        }
-      },
-      kParGrain);
-  // q is scattered into from many paths; a serial loop keeps the
-  // accumulation deterministic (index runs are contiguous per tree anyway).
-  for (std::size_t i = 0; i < n; ++i) {
-    gq[static_cast<std::size_t>(index[i])] += gy[i] * pv[i];
-  }
-}
-
-void backward_spmv(Tape& tape, const OpRecord& rec) {
-  const auto& r = rec.u.spmv;
-  const double* gy = tape.grad(nid(r.out)).data();
-  double* gx = tape.mutable_grad(nid(r.x)).data();
-  const std::uint32_t* off = r.offsets;
-  const std::int32_t* cols = r.cols;
-  const float* w = r.weights;
-  util::ParallelRuntime::for_blocked(
-      0, static_cast<std::size_t>(r.rows),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          double acc = 0.0;
-          for (std::uint32_t k = off[i]; k < off[i + 1]; ++k) {
-            acc += static_cast<double>(w[k]) * gy[static_cast<std::size_t>(cols[k])];
-          }
-          gx[i] += acc;
-        }
-      },
-      /*grain=*/512);
-}
-
-void backward_sub_const(Tape& tape, const OpRecord& rec) {
-  const auto& r = rec.u.subc;
-  const double* gy = tape.grad(nid(r.out)).data();
-  double* gx = tape.mutable_grad(nid(r.x)).data();
-  util::ParallelRuntime::for_blocked(
-      0, static_cast<std::size_t>(r.n),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) gx[i] += gy[i];
-      },
-      kParGrain);
-}
-
-void backward_activation(Tape& tape, const OpRecord& rec) {
-  const auto& r = rec.u.activation;
-  const auto act = static_cast<Activation>(rec.act);
-  const float alpha = rec.scalar;
-  const float* xv = tape.value(nid(r.x)).data();
-  const float* yv = tape.value(nid(r.out)).data();
-  const double* gy = tape.grad(nid(r.out)).data();
-  double* gx = tape.mutable_grad(nid(r.x)).data();
-  util::ParallelRuntime::for_blocked(
-      0, static_cast<std::size_t>(r.n),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          gx[i] += gy[i] * act_derivative(act, alpha, xv[i], yv[i]);
-        }
-      },
-      kParGrain);
-}
-
 void backward_weighted_sum(Tape& tape, const OpRecord& rec) {
   const auto& r = rec.u.wsum;
   const double g = tape.grad(nid(r.out))[0];
@@ -379,18 +303,6 @@ void run_backward(Tape& tape, const OpRecord& rec) {
     case OpKind::kSegmentSoftmax:
       backward_segment_softmax(tape, rec);
       return;
-    case OpKind::kGatherMul:
-      backward_gather_mul(tape, rec);
-      return;
-    case OpKind::kSpmv:
-      backward_spmv(tape, rec);
-      return;
-    case OpKind::kSubConst:
-      backward_sub_const(tape, rec);
-      return;
-    case OpKind::kActivation:
-      backward_activation(tape, rec);
-      return;
     case OpKind::kWeightedSum:
       backward_weighted_sum(tape, rec);
       return;
@@ -446,96 +358,6 @@ NodeId segment_softmax(Tape& tape, NodeId x, const std::vector<std::int32_t>& of
   return out;
 }
 
-NodeId gather_mul(Tape& tape, NodeId q, const std::vector<std::int32_t>& index, NodeId p) {
-  const std::size_t n = tape.size(p);
-  if (index.size() != n) throw std::invalid_argument("gather_mul: index size mismatch");
-
-  NodeId out = tape.make_node_uninit(n);
-  {
-    const float* qv = tape.value(q).data();
-    const float* pv = tape.value(p).data();
-    float* yv = tape.mutable_value(out).data();
-    const std::int32_t* idx = index.data();
-    util::ParallelRuntime::for_blocked(
-        0, n,
-        [&](std::size_t lo, std::size_t hi) { gather_mul_range(qv, idx, pv, yv, lo, hi); },
-        kParGrain);
-  }
-
-  OpRecord rec;
-  rec.kind = OpKind::kGatherMul;
-  rec.u.gather = {q.idx, p.idx, out.idx, index.data(), static_cast<std::uint32_t>(n)};
-  tape.push_record(rec);
-  return out;
-}
-
-NodeId spmv(Tape& tape, NodeId x, const SparseIncidence& inc) {
-  const std::size_t rows = inc.fwd_offsets->size() - 1;
-  const std::size_t xs = tape.size(x);
-  if (inc.bwd_offsets->size() != xs + 1) {
-    throw std::invalid_argument("spmv: transpose rows != x size");
-  }
-  if (inc.fwd_cols->size() != inc.fwd_weights->size() ||
-      inc.bwd_cols->size() != inc.bwd_weights->size() ||
-      inc.fwd_cols->size() != inc.bwd_cols->size()) {
-    throw std::invalid_argument("spmv: CSR arrays inconsistent");
-  }
-
-  NodeId out = tape.make_node_uninit(rows);
-  {
-    const float* xv = tape.value(x).data();
-    float* yv = tape.mutable_value(out).data();
-    const std::uint32_t* off = inc.fwd_offsets->data();
-    const std::int32_t* cols = inc.fwd_cols->data();
-    const float* w = inc.fwd_weights->data();
-    util::ParallelRuntime::for_blocked(
-        0, rows,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t r = lo; r < hi; ++r) {
-            double acc = 0.0;
-            for (std::uint32_t k = off[r]; k < off[r + 1]; ++k) {
-              acc += static_cast<double>(w[k]) * xv[static_cast<std::size_t>(cols[k])];
-            }
-            yv[r] = static_cast<float>(acc);
-          }
-        },
-        /*grain=*/512);
-  }
-
-  OpRecord rec;
-  rec.kind = OpKind::kSpmv;
-  rec.u.spmv = {x.idx,
-                out.idx,
-                inc.bwd_offsets->data(),
-                inc.bwd_cols->data(),
-                inc.bwd_weights->data(),
-                static_cast<std::uint32_t>(xs)};
-  tape.push_record(rec);
-  return out;
-}
-
-NodeId sub_const(Tape& tape, NodeId x, const std::vector<float>& c) {
-  const std::size_t n = tape.size(x);
-  if (c.size() != n) throw std::invalid_argument("sub_const: size mismatch");
-  NodeId out = tape.make_node_uninit(n);
-  {
-    const float* xv = tape.value(x).data();
-    float* yv = tape.mutable_value(out).data();
-    const float* cv = c.data();
-    util::ParallelRuntime::for_blocked(
-        0, n,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) yv[i] = xv[i] - cv[i];
-        },
-        kParGrain);
-  }
-  OpRecord rec;
-  rec.kind = OpKind::kSubConst;
-  rec.u.subc = {x.idx, out.idx, static_cast<std::uint32_t>(n)};
-  tape.push_record(rec);
-  return out;
-}
-
 const char* activation_name(Activation a) {
   switch (a) {
     case Activation::kReLU: return "ReLU";
@@ -545,28 +367,6 @@ const char* activation_name(Activation a) {
     case Activation::kCELU: return "CELU";
   }
   return "?";
-}
-
-NodeId apply_activation(Tape& tape, NodeId x, Activation act, float alpha) {
-  const std::size_t n = tape.size(x);
-  NodeId out = tape.make_node_uninit(n);
-  {
-    const float* xv = tape.value(x).data();
-    float* yv = tape.mutable_value(out).data();
-    util::ParallelRuntime::for_blocked(
-        0, n,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) yv[i] = act_forward(act, alpha, xv[i]);
-        },
-        kParGrain);
-  }
-  OpRecord rec;
-  rec.kind = OpKind::kActivation;
-  rec.act = static_cast<std::uint8_t>(act);
-  rec.scalar = alpha;
-  rec.u.activation = {x.idx, out.idx, static_cast<std::uint32_t>(n)};
-  tape.push_record(rec);
-  return out;
 }
 
 NodeId weighted_sum(Tape& tape, NodeId x, const std::vector<float>& w) {

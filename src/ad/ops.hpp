@@ -16,11 +16,11 @@
 namespace dgr::ad {
 
 // LIFETIME CONTRACT: offset/index/CSR arrays passed by reference or pointer
-// (segment_softmax offsets, gather_mul index, SparseIncidence arrays,
-// fused_overflow_cost's capacity vector) are borrowed by the recorded
-// OpRecord and MUST outlive the Tape (until reset()). weighted_sum's weight
-// vector and combine's inputs are copied into the tape pools and may be
-// temporaries.
+// (segment_softmax offsets, fused_softmax_demand's group, path_tree and
+// SparseIncidence arrays, fused_overflow_cost's capacity vector) are
+// borrowed by the recorded OpRecord and MUST outlive the Tape (until
+// reset()). weighted_sum's weight vector and combine's inputs are copied
+// into the tape pools and may be temporaries.
 //
 // Each op appends one typed OpRecord (ad/op_record.hpp) replayed by
 // Tape::backward; the hot kernels route through ad/simd.hpp when the
@@ -37,14 +37,25 @@ namespace dgr::ad {
 NodeId segment_softmax(Tape& tape, NodeId x, const std::vector<std::int32_t>& offsets,
                        float temperature, const std::vector<float>* noise = nullptr);
 
-/// out[i] = q[index[i]] * p[i] — the y_tree(i) * x_i coupling of Eqs. (4)-(6).
-NodeId gather_mul(Tape& tape, NodeId q, const std::vector<std::int32_t>& index, NodeId p);
+/// Scalar Σ_i w_i * x_i (pass empty w for a plain sum). Accumulates in double.
+NodeId weighted_sum(Tape& tape, NodeId x, const std::vector<float>& w = {});
 
-/// Sparse weighted reduction with an explicit transpose:
-///   out[r] = Σ_{k in [fwd_offsets[r], fwd_offsets[r+1])} fwd_weights[k] * x[fwd_cols[k]]
-/// Backward uses the transpose CSR (rows = x entries, cols = out rows):
-///   gx[i] = Σ_{k in [bwd_offsets[i], bwd_offsets[i+1])} bwd_weights[k] * gout[bwd_cols[k]]
-/// The caller must supply a genuine transpose pair (checked in debug builds).
+/// Scalar linear combination Σ_k coef_k * scalar_k of scalar nodes.
+NodeId combine(Tape& tape, const std::vector<NodeId>& scalars,
+               const std::vector<float>& coefs);
+
+// ---------------------------------------------------------------------------
+// Fused kernels — the per-iteration hot path of DgrSolver submitted as
+// multi-stage jobs on util::ParallelRuntime (one pool wakeup per chain),
+// with matching fused backward kernels.
+// ---------------------------------------------------------------------------
+
+/// Path <-> edge incidence with an explicit transpose. The forward CSR
+/// (rows = edges, cols = paths) gives the demand reduction
+///   demand[r] = Σ_{k in [fwd_offsets[r], fwd_offsets[r+1])} fwd_weights[k] * eff[fwd_cols[k]]
+/// and the transpose (rows = paths, cols = edges) its backward
+///   g_eff[i] = Σ_{k in [bwd_offsets[i], bwd_offsets[i+1])} bwd_weights[k] * g_demand[bwd_cols[k]]
+/// The caller must supply a genuine transpose pair.
 struct SparseIncidence {
   const std::vector<std::uint32_t>* fwd_offsets = nullptr;
   const std::vector<std::int32_t>* fwd_cols = nullptr;
@@ -53,25 +64,6 @@ struct SparseIncidence {
   const std::vector<std::int32_t>* bwd_cols = nullptr;
   const std::vector<float>* bwd_weights = nullptr;
 };
-NodeId spmv(Tape& tape, NodeId x, const SparseIncidence& inc);
-
-/// out = x - c (elementwise with a constant vector): demand - capacity.
-NodeId sub_const(Tape& tape, NodeId x, const std::vector<float>& c);
-
-/// Elementwise activation. `alpha` parameterises LeakyReLU slope / CELU
-/// alpha; ignored by the others. Exp is clamped at x <= 30 for stability.
-NodeId apply_activation(Tape& tape, NodeId x, Activation act, float alpha = 1.0f);
-
-/// Scalar Σ_i w_i * x_i (pass empty w for a plain sum). Accumulates in double.
-NodeId weighted_sum(Tape& tape, NodeId x, const std::vector<float>& w = {});
-
-// ---------------------------------------------------------------------------
-// Fused kernels — the per-iteration hot path of DgrSolver submitted as
-// multi-stage jobs on util::ParallelRuntime (one pool wakeup per chain
-// instead of one per primitive), with matching fused backward kernels.
-// Bitwise equal to the unfused ops per stage; only the overflow reduction
-// uses a different (still deterministic) summation order.
-// ---------------------------------------------------------------------------
 
 /// Nodes produced by fused_softmax_demand. p/q are exposed for tests and
 /// introspection; eff and demand feed the rest of the objective.
@@ -82,11 +74,12 @@ struct FusedSelectionDemand {
   NodeId demand;  ///< per-edge expected demand (Eq. 10 scatter)
 };
 
-/// Fuses the selection chain p = softmax(x_p), q = softmax(x_q),
-/// eff = gather_mul(q, path_tree, p), demand = spmv(eff, inc) into ONE
-/// fused parallel job (3 stages forward, 3 stages backward). `noise`
-/// pointers carry Gumbel samples, and one-element or zero groups behave, as
-/// in segment_softmax.
+/// The selection chain as ONE fused parallel job (3 stages forward, 3
+/// stages backward): p = softmax over `path_offsets` groups of path_logits,
+/// q = softmax over `tree_offsets` groups of tree_logits (both as in
+/// segment_softmax, so one-element or zero groups behave the same; the
+/// `noise` pointers carry Gumbel samples), eff_i = q[path_tree[i]] * p_i,
+/// and demand = the forward CSR of `inc` applied to eff.
 ///
 /// `tree_path_offsets` (size |trees|+1) gives each tree's contiguous path
 /// range — paths are tree-major in the DAG forest pools — and lets the
@@ -104,6 +97,8 @@ FusedSelectionDemand fused_softmax_demand(
 
 /// Fused overflow cost: scalar Σ_i f(x_i - c_i) in one blocked pass —
 /// activation and reduction fused, no slack / activated intermediate nodes.
+/// `alpha` parameterises the LeakyReLU slope (alpha * 0.01) and the CELU
+/// alpha; the others ignore it. Exp arguments are clamped at 30.
 /// The reduction sums fixed `block`-sized slices into owned partial slots
 /// (double), then combines them in index order: bitwise thread-count
 /// invariant. Backward recomputes f'(x_i - c_i) in a single blocked pass.
@@ -111,9 +106,5 @@ FusedSelectionDemand fused_softmax_demand(
 NodeId fused_overflow_cost(Tape& tape, NodeId x, const std::vector<float>& c,
                            Activation act, float alpha = 1.0f,
                            std::size_t block = 4096);
-
-/// Scalar linear combination Σ_k coef_k * scalar_k of scalar nodes.
-NodeId combine(Tape& tape, const std::vector<NodeId>& scalars,
-               const std::vector<float>& coefs);
 
 }  // namespace dgr::ad

@@ -81,14 +81,10 @@ DagForest DagForest::build(const Design& design, const ForestOptions& opts) {
 
   // Phase 1 (parallel): per-net candidate generation.
   std::vector<NetForest> per_net(num_nets);
-  auto gen_one = [&](std::size_t n) {
-    per_net[n] = build_net(gen, opts, forest.net_ids_[n]);
-  };
-  if (opts.parallel_build) {
-    util::ParallelRuntime::for_each(0, num_nets, gen_one, /*grain=*/16);
-  } else {
-    for (std::size_t n = 0; n < num_nets; ++n) gen_one(n);
-  }
+  util::ParallelRuntime::for_each(
+      0, num_nets,
+      [&](std::size_t n) { per_net[n] = build_net(gen, opts, forest.net_ids_[n]); },
+      /*grain=*/16);
 
   // Phase 2 (serial): concatenate into flat pools.
   forest.net_tree_offsets_.reserve(num_nets + 1);

@@ -32,8 +32,6 @@ struct ForestOptions {
   /// Beta of Eq. (2): via demand charged per bend. 0 disables via demand
   /// (the Table 1 ILP protocol is wire-only).
   float via_demand_beta = 0.5f;
-  /// Build the per-net generation phase in parallel.
-  bool parallel_build = true;
 
   /// Adaptive forest expansion — the future direction the paper sketches in
   /// Section 3.1 ("adaptive expansion of the forest by introducing new DAGs

@@ -51,9 +51,6 @@ class DgrRouter : public Router {
   std::string_view name() const override { return "dgr"; }
   eval::RouteSolution route(RoutingContext& ctx) override;
 
-  core::DgrConfig& config() { return config_; }
-  dag::ForestOptions& forest_options() { return forest_; }
-
  private:
   core::DgrConfig config_;
   dag::ForestOptions forest_;

@@ -117,8 +117,7 @@ PipelineResult Pipeline::run_stages(Router& router, const StagePlan& plan) {
     DGR_LOG_WARN("pipeline: route stage of '%s' failed (%s); degrading to '%s'",
                  result.stats.router.c_str(), route_status.to_string().c_str(),
                  budgets.fallback_router.c_str());
-    const std::unique_ptr<Router> fallback =
-        make_router(budgets.fallback_router, options_.fallback_options);
+    const std::unique_ptr<Router> fallback = make_router(budgets.fallback_router);
     // Preserve the failed attempt's record — in particular its convergence
     // series (the DGR trajectory up to the divergence/timeout) — before the
     // fallback's stats take over the main record.
@@ -134,8 +133,8 @@ PipelineResult Pipeline::run_stages(Router& router, const StagePlan& plan) {
     }
     // Warm-start the fallback from the failed stage's last healthy
     // extraction when it is a complete solution; otherwise route cold.
-    if (budgets.warm_start_fallback && result.solution.design != nullptr &&
-        !result.solution.nets.empty() && result.solution.connects_all_pins()) {
+    if (result.solution.design != nullptr && !result.solution.nets.empty() &&
+        result.solution.connects_all_pins()) {
       ctx_->set_warm_start(std::move(result.solution));
     } else {
       ctx_->clear_warm_start();

@@ -42,9 +42,6 @@ struct StageBudgets {
   /// surfaced in stats.status instead. Non-degradable failures (caller
   /// errors such as InvalidArgument or NotFound) always surface.
   std::string fallback_router = "cugr2-lite";
-  /// Warm-start the fallback from the failed router's last healthy
-  /// extraction when that solution is complete; otherwise route cold.
-  bool warm_start_fallback = true;
   /// When false, kNumericDivergence surfaces in stats.status instead of
   /// degrading — for callers that own a retry-with-reseed loop (the serve
   /// daemon retries divergence with a fresh seed before degrading on its
@@ -56,7 +53,6 @@ struct PipelineOptions {
   post::MazeRefineOptions refine;   ///< maze_refine stage parameters
   post::LayerAssignOptions layers;  ///< layer_assign stage parameters
   StageBudgets budgets;             ///< route-stage degradation
-  RouterOptions fallback_options;   ///< options for the fallback router
   /// Post-route validation gate: per-net geometry/connectivity checks plus
   /// demand accounting against the live DemandMap; broken nets are repaired
   /// with a congestion-priced maze reroute before evaluation.

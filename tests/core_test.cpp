@@ -14,6 +14,7 @@
 #include "eval/metrics.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
+#include "plain_oracle.hpp"
 
 namespace dgr::core {
 namespace {
@@ -210,34 +211,32 @@ TEST(DgrSolver, GumbelOffIsPlainSoftmaxDescent) {
   EXPECT_TRUE(sol.connects_all_pins());
 }
 
-/// The solver's objective rebuilt from the primitive ops, one op per step of
-/// Fig. 4 (no fused kernels, no noise): the reference the fused forward is
-/// checked against.
-struct ReferenceGraph {
+/// The graph DgrSolver::build_forward records, recorded by the test from
+/// the same fused ops: Gumbel-softmax selection and demand, the fused
+/// overflow, two weighted sums over eff, and their weighted combination.
+struct SolverGraph {
   ad::NodeId path_logits, tree_logits;
   ad::NodeId overflow, via, wirelength, total;
 };
 
-ReferenceGraph build_reference_graph(ad::Tape& tape, const DgrSolver& solver,
-                                     const std::vector<float>& params, float via_cost_scale,
-                                     float temperature) {
+SolverGraph record_solver_graph(ad::Tape& tape, const DgrSolver& solver,
+                                const std::vector<float>& params, float via_cost_scale,
+                                float temperature,
+                                const std::vector<float>* path_noise = nullptr,
+                                const std::vector<float>* tree_noise = nullptr) {
   const DgrConfig& config = solver.config();
   const Relaxation& r = solver.relaxation();
   const std::size_t np = solver.path_logit_count();
-  ReferenceGraph g;
+  SolverGraph g;
   g.path_logits = tape.input(params.data(), np);
   g.tree_logits = tape.input(params.data() + np, solver.tree_logit_count());
-  const ad::NodeId p =
-      ad::segment_softmax(tape, g.path_logits, r.path_group_offsets, temperature);
-  const ad::NodeId q =
-      ad::segment_softmax(tape, g.tree_logits, r.tree_group_offsets, temperature);
-  const ad::NodeId eff = ad::gather_mul(tape, q, r.path_tree, p);
-  const ad::NodeId d = ad::spmv(tape, eff, r.incidence);
-  const ad::NodeId slack = ad::sub_const(tape, d, solver.capacities());
-  g.overflow = ad::weighted_sum(
-      tape, ad::apply_activation(tape, slack, config.activation, config.activation_alpha));
-  g.via = ad::weighted_sum(tape, eff, r.turns);
-  g.wirelength = ad::weighted_sum(tape, eff, r.wirelength);
+  const ad::FusedSelectionDemand sel = ad::fused_softmax_demand(
+      tape, g.path_logits, g.tree_logits, r.path_group_offsets, r.tree_group_offsets,
+      r.path_tree, r.tree_path_offsets, r.incidence, temperature, path_noise, tree_noise);
+  g.overflow = ad::fused_overflow_cost(tape, sel.demand, solver.capacities(),
+                                       config.activation, config.activation_alpha);
+  g.wirelength = ad::weighted_sum(tape, sel.eff, r.wirelength);
+  g.via = ad::weighted_sum(tape, sel.eff, r.turns);
   g.total = ad::combine(tape, {g.overflow, g.via, g.wirelength},
                         {config.weight_overflow, config.weight_via * via_cost_scale,
                          config.weight_wirelength});
@@ -268,8 +267,8 @@ TEST(DgrSolver, AnalyticGradientMatchesFiniteDifferences) {
 
   // Analytic gradient via one no-noise backward pass.
   ad::Tape tape;
-  const ReferenceGraph g =
-      build_reference_graph(tape, solver, params, via_scale(fx.design()), 1.0f);
+  const SolverGraph g =
+      record_solver_graph(tape, solver, params, via_scale(fx.design()), 1.0f);
   tape.backward(g.total);
   const std::size_t np = solver.path_logit_count();
   std::vector<double> grad(np + solver.tree_logit_count());
@@ -423,23 +422,38 @@ TEST(DgrSolver, BitwiseDeterministicAcrossWorkerCounts) {
   util::set_worker_count(0);
 }
 
-TEST(DgrSolver, FusedAndUnfusedForwardAgree) {
-  // The solver's fused kernels must compute the same objective as the
-  // primitive-op reference graph (only the overflow reduction order differs:
-  // block partials vs serial).
-  auto fx = ConflictFixture::make();
-  DgrSolver solver(fx.forest(), fx.cap, fast_config());
+TEST(DgrSolver, ForwardMatchesPlainLoopOracle) {
+  // evaluate() against the double-precision loops of plain_oracle.hpp, on a
+  // design with several tree candidates per net and via-weighted incidence.
+  design::IspdLikeParams p;
+  p.num_nets = 80;
+  p.grid_w = p.grid_h = 16;
+  const design::Design d = design::generate_ispd_like(p, 11);
+  const auto cap = d.capacities();
+  const dag::DagForest forest = dag::DagForest::build(d, {});
+  DgrSolver solver(forest, cap, fast_config());
+  const DgrConfig& config = solver.config();
+  const Relaxation& r = solver.relaxation();
+  const std::size_t np = solver.path_logit_count();
+  const std::vector<float> xp(solver.logits().begin(),
+                              solver.logits().begin() + static_cast<std::ptrdiff_t>(np));
+  const std::vector<float> xq(solver.logits().begin() + static_cast<std::ptrdiff_t>(np),
+                              solver.logits().end());
+  const double rtol = oracle::rtol();
   for (const float t : {1.0f, 0.3f}) {
     const CostBreakdown fused = solver.evaluate(t);
-    ad::Tape tape;
-    const ReferenceGraph g =
-        build_reference_graph(tape, solver, solver.logits(), via_scale(fx.design()), t);
-    const double total = tape.value(g.total)[0];
-    const double overflow = tape.value(g.overflow)[0];
-    EXPECT_NEAR(fused.total, total, 1e-5 + 1e-6 * std::abs(total)) << t;
-    EXPECT_NEAR(fused.overflow, overflow, 1e-5 + 1e-6 * std::abs(overflow)) << t;
-    EXPECT_NEAR(fused.wirelength, tape.value(g.wirelength)[0], 1e-5) << t;
-    EXPECT_NEAR(fused.via, via_scale(fx.design()) * tape.value(g.via)[0], 1e-5) << t;
+    const oracle::Selection sel = oracle::selection_demand(
+        xp, xq, r.path_group_offsets, r.tree_group_offsets, r.path_tree, r.incidence, t);
+    const double overflow =
+        oracle::overflow_cost(sel.demand, cap, config.activation, config.activation_alpha);
+    const double wirelength = oracle::dot(sel.eff, r.wirelength);
+    const double via = via_scale(d) * oracle::dot(sel.eff, r.turns);
+    const double total = config.weight_overflow * overflow + config.weight_via * via +
+                         config.weight_wirelength * wirelength;
+    EXPECT_NEAR(fused.total, total, 1e-5 + rtol * std::abs(total)) << t;
+    EXPECT_NEAR(fused.overflow, overflow, 1e-5 + rtol * std::abs(overflow)) << t;
+    EXPECT_NEAR(fused.wirelength, wirelength, 1e-5 + rtol * std::abs(wirelength)) << t;
+    EXPECT_NEAR(fused.via, via, 1e-5 + rtol * std::abs(via)) << t;
   }
 }
 
@@ -530,7 +544,6 @@ TEST(DgrSolver, InertLogitSkipMatchesDenseReferenceLoop) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     util::set_worker_count(workers);
     DgrSolver solver(forest, cap, config);
-    const Relaxation& rx = solver.relaxation();
     const std::size_t np = solver.path_logit_count();
     const std::size_t nt = solver.tree_logit_count();
     std::vector<float> params = solver.logits();
@@ -545,23 +558,13 @@ TEST(DgrSolver, InertLogitSkipMatchesDenseReferenceLoop) {
       for (float& g : path_noise) g = static_cast<float>(noise_rng.gumbel());
       for (float& g : tree_noise) g = static_cast<float>(noise_rng.gumbel());
       ad::Tape tape;
-      const ad::NodeId pl = tape.input(params.data(), np);
-      const ad::NodeId tl = tape.input(params.data() + np, nt);
-      const ad::FusedSelectionDemand sel = ad::fused_softmax_demand(
-          tape, pl, tl, rx.path_group_offsets, rx.tree_group_offsets, rx.path_tree,
-          rx.tree_path_offsets, rx.incidence, solver.temperature_at(it), &path_noise,
-          &tree_noise);
-      const ad::NodeId overflow = ad::fused_overflow_cost(
-          tape, sel.demand, cap, config.activation, config.activation_alpha);
-      const ad::NodeId wl = ad::weighted_sum(tape, sel.eff, rx.wirelength);
-      const ad::NodeId via = ad::weighted_sum(tape, sel.eff, rx.turns);
-      const ad::NodeId cost =
-          ad::combine(tape, {overflow, via, wl},
-                      {config.weight_overflow, config.weight_via * vscale,
-                       config.weight_wirelength});
-      tape.backward(cost);
-      std::copy(tape.grad(pl).begin(), tape.grad(pl).end(), grads.begin());
-      std::copy(tape.grad(tl).begin(), tape.grad(tl).end(),
+      const SolverGraph graph = record_solver_graph(tape, solver, params, vscale,
+                                                    solver.temperature_at(it), &path_noise,
+                                                    &tree_noise);
+      tape.backward(graph.total);
+      std::copy(tape.grad(graph.path_logits).begin(), tape.grad(graph.path_logits).end(),
+                grads.begin());
+      std::copy(tape.grad(graph.tree_logits).begin(), tape.grad(graph.tree_logits).end(),
                 grads.begin() + static_cast<std::ptrdiff_t>(np));
       double grad_sq = 0.0;
       for (const double g : grads) grad_sq += g * g;
@@ -569,12 +572,14 @@ TEST(DgrSolver, InertLogitSkipMatchesDenseReferenceLoop) {
 
       const std::string where = "workers=" + std::to_string(workers) + " iter=" +
                                 std::to_string(it);
-      EXPECT_EQ(solver.train_step(it), static_cast<double>(tape.value(cost)[0])) << where;
+      EXPECT_EQ(solver.train_step(it), static_cast<double>(tape.value(graph.total)[0]))
+          << where;
       ASSERT_TRUE(solver.last_step_finite()) << where;
-      EXPECT_EQ(solver.last_breakdown().overflow, tape.value(overflow)[0]) << where;
-      EXPECT_EQ(solver.last_breakdown().wirelength, tape.value(wl)[0]) << where;
+      EXPECT_EQ(solver.last_breakdown().overflow, tape.value(graph.overflow)[0]) << where;
+      EXPECT_EQ(solver.last_breakdown().wirelength, tape.value(graph.wirelength)[0])
+          << where;
       EXPECT_EQ(solver.last_breakdown().via,
-                static_cast<double>(vscale) * tape.value(via)[0])
+                static_cast<double>(vscale) * tape.value(graph.via)[0])
           << where;
       EXPECT_EQ(solver.last_grad_norm(), std::sqrt(grad_sq)) << where;
       ASSERT_EQ(std::memcmp(solver.logits().data(), params.data(),

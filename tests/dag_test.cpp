@@ -7,6 +7,7 @@
 #include "dag/path.hpp"
 #include "dag/tree_candidates.hpp"
 #include "design/generator.hpp"
+#include "util/parallel.hpp"
 
 namespace dgr::dag {
 namespace {
@@ -296,12 +297,12 @@ TEST(DagForest, ParallelAndSerialBuildsAgree) {
   p.grid_w = 24;
   p.grid_h = 24;
   const Design d = design::generate_ispd_like(p, 9);
-  ForestOptions serial;
-  serial.parallel_build = false;
-  ForestOptions parallel;
-  parallel.parallel_build = true;
-  const DagForest a = DagForest::build(d, serial);
-  const DagForest b = DagForest::build(d, parallel);
+  // One worker runs the per-net for_each inline; four run it on the pool.
+  util::set_worker_count(1);
+  const DagForest a = DagForest::build(d);
+  util::set_worker_count(4);
+  const DagForest b = DagForest::build(d);
+  util::set_worker_count(0);
   ASSERT_EQ(a.paths().size(), b.paths().size());
   ASSERT_EQ(a.trees().size(), b.trees().size());
   ASSERT_EQ(a.inc_edges().size(), b.inc_edges().size());
