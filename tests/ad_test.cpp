@@ -473,6 +473,13 @@ TEST(FusedSoftmaxDemand, RejectsBadStructure) {
   EXPECT_THROW(fused_softmax_demand(tape, a, b, fx.p_groups, fx.q_groups, fx.path_tree,
                                     bad_tree_paths, fx.inc(), 1.0f),
                std::invalid_argument);
+}
+
+TEST(FusedSoftmaxDemand, RejectsInconsistentCsr) {
+  FusedFixture fx;
+  Tape tape;
+  const NodeId a = tape.input(std::vector<float>(6, 0.0f));
+  const NodeId b = tape.input(std::vector<float>(3, 0.0f));
   // Inconsistent CSR pairs: a transpose with one row for six paths, and
   // column and weight arrays of different lengths.
   FusedFixture short_rows = fx;
