@@ -36,6 +36,7 @@ int main() {
   core::DgrConfig base;
   base.iterations = iters;
   base.temperature_interval = std::max(1, iters / 10);
+  base.patience_checks = 0;  // the paper's fixed schedule
 
   std::vector<Variant> variants;
   variants.push_back({"full DGR (baseline)", base, {}, true});

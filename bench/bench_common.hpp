@@ -60,16 +60,19 @@ inline core::DgrConfig table1_dgr_config(int iterations) {
   config.iterations = iterations;
   config.temperature_interval = std::max(1, iterations / 10);
   config.top_p = 0.0f;  // argmax extraction
+  config.patience_checks = 0;  // the paper's fixed schedule
   return config;
 }
 
 /// RouterOptions for a standard DGR run at the bench's iteration budget
-/// (paper defaults otherwise). Every harness selects routers through the
-/// pipeline registry with these options.
+/// (paper defaults otherwise, including the fixed schedule: no plateau
+/// stop). Every harness selects routers through the pipeline registry with
+/// these options.
 inline pipeline::RouterOptions dgr_router_options(int iterations) {
   pipeline::RouterOptions options;
   options.dgr.iterations = iterations;
   options.dgr.temperature_interval = std::max(1, iterations / 10);
+  options.dgr.patience_checks = 0;
   return options;
 }
 

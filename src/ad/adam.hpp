@@ -29,7 +29,6 @@ class Adam {
   void step(std::vector<float>& params, const std::vector<double>& grads);
 
   std::int64_t iteration() const { return t_; }
-  const AdamConfig& config() const { return config_; }
 
   /// Zeroes the moment estimates and step count. Used by the solver's
   /// divergence rollback: stale moments computed from a poisoned trajectory

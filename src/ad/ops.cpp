@@ -16,39 +16,6 @@ constexpr std::size_t kParGrain = 2048;
 /// Records store raw node indices; wrap them back for tape accessors.
 inline NodeId nid(std::int32_t idx) { return NodeId{idx}; }
 
-float act_forward(Activation act, float alpha, float v) {
-  switch (act) {
-    case Activation::kReLU:
-      return v > 0.0f ? v : 0.0f;
-    case Activation::kSigmoid:
-      return 1.0f / (1.0f + std::exp(-v));
-    case Activation::kLeakyReLU:
-      return v > 0.0f ? v : alpha * 0.01f * v;
-    case Activation::kExp:
-      return std::exp(std::min(v, 30.0f));
-    case Activation::kCELU:
-      return v > 0.0f ? v : alpha * (std::exp(std::min(v, 30.0f) / alpha) - 1.0f);
-  }
-  return 0.0f;
-}
-
-// Derivative expressed from input v and output y (cheap for sigmoid/exp).
-double act_derivative(Activation act, float alpha, float v, float y) {
-  switch (act) {
-    case Activation::kReLU:
-      return v > 0.0f ? 1.0 : 0.0;
-    case Activation::kSigmoid:
-      return static_cast<double>(y) * (1.0 - y);
-    case Activation::kLeakyReLU:
-      return v > 0.0f ? 1.0 : alpha * 0.01;
-    case Activation::kExp:
-      return v < 30.0f ? static_cast<double>(y) : 0.0;
-    case Activation::kCELU:
-      return v > 0.0f ? 1.0 : std::exp(std::min(v, 30.0f) / alpha);
-  }
-  return 0.0;
-}
-
 /// Softmax over one group [lo, hi) of (x + noise)/t into y — the scalar
 /// kernel, bitwise worker-count deterministic.
 void softmax_group(const float* x, const float* noise, float* y, std::size_t lo,

@@ -56,7 +56,7 @@ inline __m256 exp256_ps(__m256 x) {
   return _mm256_mul_ps(y, pow2n);
 }
 
-/// av_vec = f(v) for one lane-vector; mirrors act_forward in ops.cpp.
+/// av_vec = f(v) for one lane-vector; mirrors act_forward (ad/activation.hpp).
 inline __m256 act_forward_ps(Activation act, float alpha, __m256 v) {
   const __m256 zero = _mm256_setzero_ps();
   const __m256 one = _mm256_set1_ps(1.0f);
@@ -84,7 +84,7 @@ inline __m256 act_forward_ps(Activation act, float alpha, __m256 v) {
   return zero;
 }
 
-/// f'(v) using the forward output y; mirrors act_derivative in ops.cpp
+/// f'(v) using the forward output y; mirrors act_derivative (ad/activation.hpp)
 /// (computed in float here — covered by the SIMD tolerance contract).
 inline __m256 act_derivative_ps(Activation act, float alpha, __m256 v, __m256 y) {
   const __m256 zero = _mm256_setzero_ps();
@@ -106,38 +106,6 @@ inline __m256 act_derivative_ps(Activation act, float alpha, __m256 v, __m256 y)
     }
   }
   return zero;
-}
-
-inline float act_forward_scalar(Activation act, float alpha, float v) {
-  switch (act) {
-    case Activation::kReLU:
-      return v > 0.0f ? v : 0.0f;
-    case Activation::kSigmoid:
-      return 1.0f / (1.0f + std::exp(-v));
-    case Activation::kLeakyReLU:
-      return v > 0.0f ? v : alpha * 0.01f * v;
-    case Activation::kExp:
-      return std::exp(std::min(v, 30.0f));
-    case Activation::kCELU:
-      return v > 0.0f ? v : alpha * (std::exp(std::min(v, 30.0f) / alpha) - 1.0f);
-  }
-  return 0.0f;
-}
-
-inline double act_derivative_scalar(Activation act, float alpha, float v, float y) {
-  switch (act) {
-    case Activation::kReLU:
-      return v > 0.0f ? 1.0 : 0.0;
-    case Activation::kSigmoid:
-      return static_cast<double>(y) * (1.0 - y);
-    case Activation::kLeakyReLU:
-      return v > 0.0f ? 1.0 : alpha * 0.01;
-    case Activation::kExp:
-      return v < 30.0f ? static_cast<double>(y) : 0.0;
-    case Activation::kCELU:
-      return v > 0.0f ? 1.0 : std::exp(std::min(v, 30.0f) / alpha);
-  }
-  return 0.0;
 }
 
 }  // namespace
@@ -198,7 +166,7 @@ double overflow_forward(Activation act, float alpha, const float* x, const float
     const __m256 v = _mm256_sub_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(c + i));
     _mm256_storeu_ps(av + i, act_forward_ps(act, alpha, v));
   }
-  for (; i < n; ++i) av[i] = act_forward_scalar(act, alpha, x[i] - c[i]);
+  for (; i < n; ++i) av[i] = act_forward(act, alpha, x[i] - c[i]);
   // Index-order double accumulation, matching the scalar path's order (so
   // the exact activations — ReLU/LeakyReLU — give bitwise-equal sums).
   double acc = 0.0;
@@ -220,7 +188,7 @@ void overflow_backward(Activation act, float alpha, double g, const float* x,
                      _mm256_fmadd_pd(gd, dhi, _mm256_loadu_pd(gx + i + 4)));
   }
   for (; i < n; ++i) {
-    gx[i] += g * act_derivative_scalar(act, alpha, x[i] - c[i], av[i]);
+    gx[i] += g * act_derivative(act, alpha, x[i] - c[i], av[i]);
   }
 }
 

@@ -3,7 +3,9 @@
 /// \brief DGR hyper-parameters. Defaults follow Section 5 of the paper:
 /// ICCAD'19 metric weights (500 / 4 / 0.5), sigmoid overflow activation,
 /// Adam lr 0.3, 1000 iterations, initial temperature 1 scaled by 0.9 every
-/// 100 iterations, Gumbel noise on, top-p extraction.
+/// 100 iterations, Gumbel noise on, top-p extraction. One addition: training
+/// stops early once its best extraction is overflow-free and has stopped
+/// improving (patience_checks; 0 restores the fixed schedule).
 
 #include <cstdint>
 #include <string>
@@ -31,6 +33,19 @@ struct DgrConfig {
   bool use_gumbel = true;          ///< Gumbel noise on logits
 
   float top_p = 0.9f;  ///< cumulative-probability threshold for extraction
+
+  /// Plateau stop (DESIGN.md §5.3). Every 50 kept iterations train()
+  /// extracts, scores the routes with eval::reroute_score and keeps the
+  /// best-scoring logits. Once that best extraction has no overflowed edge
+  /// and this many checks in a row have not beaten it, training stops and
+  /// extract() returns the best check. While the best extraction overflows,
+  /// the gap between checks doubles (50, 150, 350, 750) and the schedule
+  /// runs to its end with its final logits. 0 runs the paper's fixed
+  /// schedule with no checks. The default stops a clean design no earlier
+  /// than iteration 350: a design that keeps an overflowed edge runs all
+  /// 1000, and a shorter patience lets a batch's run time swing with how
+  /// many such designs it holds.
+  int patience_checks = 6;
 
   std::uint64_t seed = 1;
   float init_logit_std = 0.5f;  ///< random logit initialisation scale

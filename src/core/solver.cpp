@@ -4,7 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <tuple>
 
+#include "eval/metrics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
@@ -12,6 +14,13 @@
 #include "util/timer.hpp"
 
 namespace dgr::core {
+namespace {
+
+/// Kept iterations between plateau checks while the best check is
+/// overflow-free; the first check comes after this many.
+constexpr int kCheckInterval = 50;
+
+}  // namespace
 
 DgrSolver::DgrSolver(const dag::DagForest& forest, std::vector<float> capacities,
                      DgrConfig config)
@@ -177,6 +186,18 @@ TrainStats DgrSolver::train() {
   best.next_iteration = 0;
   best.cost = std::numeric_limits<double>::infinity();
 
+  // Plateau checks (DgrConfig::patience_checks): the snapshot of the
+  // best-scoring extraction, which is the answer on a plateau stop. It is
+  // not the rollback checkpoint above, which holds the lowest noisy training
+  // cost for a replay to resume from.
+  const int patience = config_.patience_checks;
+  std::vector<float> check_params;
+  eval::RerouteScore check_best{};
+  int check_misses = 0;
+  // 64-bit: the doubling gap must not overflow on a huge iteration count.
+  std::int64_t check_gap = kCheckInterval;
+  std::int64_t next_check = patience > 0 ? kCheckInterval : -1;
+
   bool restore_checkpoint = false;
   int it = 0;
   int steps_executed = 0;
@@ -187,6 +208,7 @@ TrainStats DgrSolver::train() {
       stats.status = Status(StatusCode::kStageTimeout,
                             "train: deadline expired at iteration " + std::to_string(it) +
                                 "/" + std::to_string(config_.iterations));
+      stats.stop_reason = StopReason::kDeadline;
       restore_checkpoint = best.cost < std::numeric_limits<double>::infinity();
       break;
     }
@@ -204,6 +226,7 @@ TrainStats DgrSolver::train() {
                               "train: non-finite loss/gradients at iteration " +
                                   std::to_string(it) + ", rollback budget (" +
                                   std::to_string(config_.max_rollbacks) + ") exhausted");
+        stats.stop_reason = StopReason::kDivergence;
         restore_checkpoint = true;
         break;
       }
@@ -244,10 +267,37 @@ TrainStats DgrSolver::train() {
                     temperature_at(it));
     }
     ++it;
+
+    if (it == next_check && it < iterations) {
+      DGR_TRACE_SCOPE("core.check");
+      ++stats.checks;
+      const eval::RouteSolution sol = extract();
+      const eval::RerouteScore score = eval::reroute_score(
+          sol, sol.demand(forest_.options().via_demand_beta), capacities_);
+      if (stats.best_check_iteration < 0 || score < check_best) {
+        check_best = score;
+        check_params = params_;
+        stats.best_check_iteration = it;
+        check_misses = 0;
+      } else {
+        ++check_misses;
+      }
+      // Only an overflow-free best may end training; while the best still
+      // overflows, the checks back off so a congested design keeps the
+      // paper schedule at almost no cost.
+      const bool clean = std::get<0>(check_best) == 0;
+      if (clean && check_misses >= patience) {
+        stats.stop_reason = StopReason::kPlateau;
+        params_ = check_params;
+        break;
+      }
+      check_gap = clean ? kCheckInterval : 2 * check_gap;
+      next_check = it + check_gap;
+    }
   }
 
-  // On any early stop, leave the best healthy checkpoint behind so
-  // extract() still produces the last healthy solution.
+  // On a deadline or divergence stop, leave the best healthy checkpoint
+  // behind so extract() still produces the last healthy solution.
   if (restore_checkpoint) params_ = best.params;
 
   stats.iterations_run = steps_executed;

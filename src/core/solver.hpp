@@ -7,9 +7,11 @@
 /// Each iteration builds the expectation of the Eq. (3) cost on an ad::Tape
 /// (Gumbel-softmax over groups -> coupled selection mass -> expected demand
 /// -> activation overflow + WL + via terms), back-propagates, and takes an
-/// Adam step; the temperature anneals on a fixed schedule. extract() turns
-/// the optimised probabilities into a discrete RouteSolution (argmax trees,
-/// top-p paths with greedy commitment).
+/// Adam step; the temperature anneals on a fixed schedule, which train()
+/// cuts short once its best extraction is overflow-free and stops improving
+/// (DgrConfig::patience_checks). extract() turns the optimised
+/// probabilities into a discrete RouteSolution (argmax trees, top-p paths
+/// with greedy commitment).
 
 #include <vector>
 
@@ -30,8 +32,21 @@ struct CostBreakdown {
   double via = 0.0;         ///< √L Σ eff * TP, pre-weight
 };
 
+/// Why train() returned.
+enum class StopReason {
+  kIterations,  ///< ran the whole schedule; the final logits stay
+  kPlateau,     ///< overflow-free best check not beaten by patience_checks checks
+  kDeadline,    ///< DgrConfig::deadline expired (kStageTimeout)
+  kDivergence,  ///< rollback budget exhausted (kNumericDivergence)
+};
+
 struct TrainStats {
   int iterations_run = 0;              ///< gradient steps executed (incl. replays)
+  StopReason stop_reason = StopReason::kIterations;
+  int checks = 0;                      ///< plateau checks run (extract + score)
+  /// Kept iteration count at the best-scoring check; -1 when none ran. On a
+  /// plateau stop the solver holds that check's logits.
+  int best_check_iteration = -1;
   double train_seconds = 0.0;
   CostBreakdown final_cost;            ///< noise-free cost at final temperature
   /// Convergence telemetry (when DgrConfig::record_telemetry): loss,
@@ -57,7 +72,8 @@ class DgrSolver {
   DgrSolver(const dag::DagForest& forest, std::vector<float> capacities,
             DgrConfig config = {});
 
-  /// Runs the full training loop.
+  /// Runs the training loop: the full schedule, or up to an overflow-free
+  /// plateau (DgrConfig::patience_checks).
   TrainStats train();
 
   /// One gradient step at the given iteration index (exposed for tests and

@@ -1,8 +1,9 @@
 #include "design/io.hpp"
 
+#include <charconv>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_set>
 
 #include "util/fault.hpp"
@@ -28,6 +29,74 @@ Status parse_fail(int line, const std::string& what) {
 Status limit_fail(const std::string& what) {
   return Status(StatusCode::kInvalidDesign, "dgrd input rejected: " + what);
 }
+
+/// Reads one line the way chained `std::istringstream >>` extractions do in
+/// the classic locale, without building a stream: each read skips leading
+/// whitespace; a word is the longest run of non-whitespace, a letter one
+/// byte, and a number an optional sign plus the longest run of decimal
+/// digits after it ("4x" reads 4 and leaves "x" for the next read). A read
+/// with nothing to take, a number without digits, or one out of range for
+/// long long fails, and so does every read after a failure.
+class LineScanner {
+ public:
+  explicit LineScanner(std::string_view line) : rest_(line) {}
+
+  explicit operator bool() const { return ok_; }
+
+  LineScanner& word(std::string_view& out) {
+    if (!skip_space()) return *this;
+    std::size_t n = 1;
+    while (n < rest_.size() && !is_space(rest_[n])) ++n;
+    out = rest_.substr(0, n);
+    rest_.remove_prefix(n);
+    return *this;
+  }
+
+  LineScanner& letter(char& out) {
+    if (!skip_space()) return *this;
+    out = rest_.front();
+    rest_.remove_prefix(1);
+    return *this;
+  }
+
+  LineScanner& number(long long& out) {
+    if (!skip_space()) return *this;
+    const char* first = rest_.data();
+    const char* last = first + rest_.size();
+    // from_chars takes a '-' but not a '+'; a sign must precede a digit.
+    const char* digits = *first == '+' || *first == '-' ? first + 1 : first;
+    if (digits == last || *digits < '0' || *digits > '9') {
+      ok_ = false;
+      return *this;
+    }
+    const auto [end, ec] = std::from_chars(*first == '+' ? digits : first, last, out);
+    if (ec != std::errc()) {
+      ok_ = false;
+      return *this;
+    }
+    rest_.remove_prefix(static_cast<std::size_t>(end - first));
+    return *this;
+  }
+
+ private:
+  /// The classic-locale isspace set.
+  static bool is_space(char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+  }
+
+  /// Drops leading whitespace; false (and failed) when nothing is left.
+  bool skip_space() {
+    if (!ok_) return false;
+    std::size_t n = 0;
+    while (n < rest_.size() && is_space(rest_[n])) ++n;
+    rest_.remove_prefix(n);
+    ok_ = !rest_.empty();
+    return ok_;
+  }
+
+  std::string_view rest_;
+  bool ok_ = true;
+};
 
 }  // namespace
 
@@ -95,10 +164,9 @@ Result<Design> try_read_design(std::istream& is, const DesignLimits& limits) {
 
   if (!next_line()) return eof_fail();
   {
-    std::istringstream ss(line);
-    std::string magic;
-    int version = 0;
-    if (!(ss >> magic >> version) || magic != "dgrd" || version != 1) {
+    std::string_view magic;
+    long long version = 0;
+    if (!LineScanner(line).word(magic).number(version) || magic != "dgrd" || version != 1) {
       return parse_fail(line_no, "expected header 'dgrd 1'");
     }
   }
@@ -106,11 +174,11 @@ Result<Design> try_read_design(std::istream& is, const DesignLimits& limits) {
   if (!next_line()) return eof_fail();
   std::string name;
   {
-    std::istringstream ss(line);
-    std::string kw;
-    if (!(ss >> kw >> name) || kw != "design") {
+    std::string_view kw, name_view;
+    if (!LineScanner(line).word(kw).word(name_view) || kw != "design") {
       return parse_fail(line_no, "expected 'design <name>'");
     }
+    name = name_view;
   }
 
   if (!next_line()) return eof_fail();
@@ -118,9 +186,8 @@ Result<Design> try_read_design(std::istream& is, const DesignLimits& limits) {
   // caught by explicit range checks instead of wrapping through int.
   long long w = 0, h = 0, layer_count = 0;
   {
-    std::istringstream ss(line);
-    std::string kw;
-    if (!(ss >> kw >> w >> h >> layer_count) || kw != "grid") {
+    std::string_view kw;
+    if (!LineScanner(line).word(kw).number(w).number(h).number(layer_count) || kw != "grid") {
       return parse_fail(line_no, "expected 'grid <W> <H> <L>'");
     }
     if (w < 1 || h < 1 || layer_count < 1) {
@@ -135,11 +202,11 @@ Result<Design> try_read_design(std::istream& is, const DesignLimits& limits) {
   std::vector<grid::LayerInfo> layers;
   for (long long i = 0; i < layer_count; ++i) {
     if (!next_line()) return eof_fail();
-    std::istringstream ss(line);
-    std::string kw;
+    std::string_view kw;
     char dir = 0;
     long long tracks = -1;
-    if (!(ss >> kw >> dir >> tracks) || kw != "layer" || (dir != 'H' && dir != 'V')) {
+    if (!LineScanner(line).word(kw).letter(dir).number(tracks) || kw != "layer" ||
+        (dir != 'H' && dir != 'V')) {
       return parse_fail(line_no, "expected 'layer <H|V> <tracks>'");
     }
     if (tracks < 0 || tracks > kMaxTracks) {
@@ -152,9 +219,8 @@ Result<Design> try_read_design(std::istream& is, const DesignLimits& limits) {
   if (!next_line()) return eof_fail();
   long long net_count = 0;
   {
-    std::istringstream ss(line);
-    std::string kw;
-    if (!(ss >> kw >> net_count) || kw != "nets" || net_count < 0) {
+    std::string_view kw;
+    if (!LineScanner(line).word(kw).number(net_count) || kw != "nets" || net_count < 0) {
       return parse_fail(line_no, "expected 'nets <N>' with N >= 0");
     }
     if (net_count > kMaxNets) return parse_fail(line_no, "net count exceeds format limit");
@@ -172,13 +238,14 @@ Result<Design> try_read_design(std::istream& is, const DesignLimits& limits) {
   seen_names.reserve(static_cast<std::size_t>(net_count));
   for (long long i = 0; i < net_count; ++i) {
     if (!next_line()) return eof_fail();
-    std::istringstream ss(line);
-    std::string kw;
-    Net net;
+    LineScanner ss(line);
+    std::string_view kw, net_name;
     long long npins = 0;
-    if (!(ss >> kw >> net.name >> npins) || kw != "net" || npins <= 0) {
+    if (!ss.word(kw).word(net_name).number(npins) || kw != "net" || npins <= 0) {
       return parse_fail(line_no, "expected 'net <name> <npins> ...'");
     }
+    Net net;
+    net.name = net_name;
     if (npins > kMaxPinsPerNet) return parse_fail(line_no, "pin count exceeds format limit");
     total_pins += npins;
     if (limits.max_total_pins > 0 && total_pins > limits.max_total_pins) {
@@ -191,7 +258,7 @@ Result<Design> try_read_design(std::istream& is, const DesignLimits& limits) {
     net.pins.reserve(static_cast<std::size_t>(npins));
     for (long long k = 0; k < npins; ++k) {
       long long x = 0, y = 0;
-      if (!(ss >> x >> y)) return parse_fail(line_no, "net pin list truncated");
+      if (!ss.number(x).number(y)) return parse_fail(line_no, "net pin list truncated");
       if (x < 0 || y < 0 || x >= w || y >= h) {
         return parse_fail(line_no, "pin (" + std::to_string(x) + "," + std::to_string(y) +
                                        ") outside the grid");

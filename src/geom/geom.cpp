@@ -1,5 +1,6 @@
 #include "geom/geom.hpp"
 
+#include <algorithm>
 #include <set>
 
 namespace dgr::geom {
@@ -41,13 +42,23 @@ HananGrid HananGrid::from_points(const std::vector<Point>& pts) {
 }
 
 std::vector<Point> dedupe_points(std::vector<Point> pts) {
-  std::set<Point> seen;
-  std::vector<Point> out;
-  out.reserve(pts.size());
-  for (const Point& p : pts) {
-    if (seen.insert(p).second) out.push_back(p);
+  // Compacts in place. A net has a handful of pins, so scanning the kept
+  // prefix beats a node-based set; long pin lists still use the set.
+  constexpr std::size_t kScanLimit = 32;
+  std::size_t kept = 0;
+  if (pts.size() <= kScanLimit) {
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      const auto prefix_end = pts.begin() + static_cast<std::ptrdiff_t>(kept);
+      if (std::find(pts.begin(), prefix_end, pts[i]) == prefix_end) pts[kept++] = pts[i];
+    }
+  } else {
+    std::set<Point> seen;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      if (seen.insert(pts[i]).second) pts[kept++] = pts[i];
+    }
   }
-  return out;
+  pts.resize(kept);
+  return pts;
 }
 
 }  // namespace dgr::geom

@@ -32,8 +32,6 @@ class PartitionedRouter : public pipeline::Router {
   std::string_view name() const override { return "partitioned"; }
   eval::RouteSolution route(pipeline::RoutingContext& ctx) override;
 
-  const PartitionConfig& config() const { return config_; }
-
  private:
   PartitionConfig config_;
   pipeline::RouterOptions region_options_;

@@ -63,6 +63,10 @@ eval::RouteSolution DgrRouter::route(RoutingContext& ctx) {
   stats_.add_counter("path_candidates", static_cast<double>(forest.paths().size()));
   stats_.add_counter("logits", static_cast<double>(train.logits));
   stats_.add_counter("trainable_logits", static_cast<double>(train.trainable_logits));
+  stats_.add_counter("checks", static_cast<double>(train.checks));
+  stats_.add_counter("best_check_iteration", static_cast<double>(train.best_check_iteration));
+  stats_.add_counter("stopped_on_plateau",
+                     train.stop_reason == core::StopReason::kPlateau ? 1.0 : 0.0);
   stats_.status = train.status;
   stats_.rollbacks = train.rollbacks;
   if (train.rollbacks > 0) {

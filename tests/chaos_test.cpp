@@ -190,6 +190,82 @@ TEST(Chaos, GradientNanRollbackIsBitwiseDeterministicAcrossWorkers) {
   util::set_worker_count(0);
 }
 
+TEST(Chaos, RollbackAfterPlateauCheckIsBitwiseDeterministicAcrossWorkers) {
+  // The paper schedule with plateau checks on: one NaN gradient lands after
+  // the first check, the solver rolls back and replays, and the plateau
+  // stop still ends the run identically at every worker count.
+  SKIP_WITHOUT_HOOKS();
+  // Sparser than chaos_design(), so the best check is overflow-free.
+  design::IspdLikeParams p;
+  p.name = "chaos_sparse";
+  p.grid_w = p.grid_h = 12;
+  p.num_nets = 40;
+  p.layers = 4;
+  p.tracks_per_layer = 4;
+  const design::Design d = design::generate_ispd_like(p, 77);
+  const dag::DagForest forest = dag::DagForest::build(d, {});
+  core::DgrConfig config;
+  config.record_telemetry = true;
+
+  struct Outcome {
+    core::TrainStats stats;
+    std::vector<float> logits;
+    eval::RouteSolution solution;
+  };
+  auto run_at = [&](std::size_t workers) {
+    util::set_worker_count(workers);
+    // Seed 4 at 1% fires once, on the 92nd gradient step.
+    ScopedPlan chaos(FaultPlan{4, {{"core.grad", 0.01, 1}}});
+    core::DgrSolver solver(forest, d.capacities(), config);
+    Outcome out;
+    out.stats = solver.train();
+    out.logits = solver.logits();
+    out.solution = solver.extract();
+    return out;
+  };
+
+  const Outcome ref = run_at(1);
+  ASSERT_EQ(ref.stats.rollbacks, 1);
+  ASSERT_EQ(ref.stats.telemetry.rollbacks.size(), 1u);
+  EXPECT_GT(ref.stats.telemetry.rollbacks[0].at_iteration, 50);
+  EXPECT_TRUE(ref.stats.status.ok()) << ref.stats.status.to_string();
+  EXPECT_EQ(ref.stats.stop_reason, core::StopReason::kPlateau);
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+    const Outcome got = run_at(workers);
+    EXPECT_EQ(got.stats.rollbacks, ref.stats.rollbacks) << workers;
+    EXPECT_EQ(got.stats.iterations_run, ref.stats.iterations_run) << workers;
+    EXPECT_EQ(got.stats.stop_reason, ref.stats.stop_reason) << workers;
+    EXPECT_EQ(got.stats.checks, ref.stats.checks) << workers;
+    EXPECT_EQ(got.stats.best_check_iteration, ref.stats.best_check_iteration) << workers;
+    EXPECT_EQ(got.logits, ref.logits) << workers;
+    ASSERT_EQ(got.solution.nets.size(), ref.solution.nets.size()) << workers;
+    for (std::size_t n = 0; n < ref.solution.nets.size(); ++n) {
+      ASSERT_EQ(got.solution.nets[n].paths.size(), ref.solution.nets[n].paths.size());
+      for (std::size_t k = 0; k < ref.solution.nets[n].paths.size(); ++k) {
+        EXPECT_EQ(got.solution.nets[n].paths[k].waypoints,
+                  ref.solution.nets[n].paths[k].waypoints)
+            << "workers=" << workers << " net=" << n << " path=" << k;
+      }
+    }
+  }
+  util::set_worker_count(0);
+}
+
+TEST(Chaos, ExhaustedRollbackBudgetReportsDivergenceStop) {
+  SKIP_WITHOUT_HOOKS();
+  const design::Design d = chaos_design();
+  const dag::DagForest forest = dag::DagForest::build(d, {});
+  core::DgrConfig config;
+  config.max_rollbacks = 2;
+  ScopedPlan chaos(FaultPlan{7, {{"core.loss", 1.0, -1}}});
+  core::DgrSolver solver(forest, d.capacities(), config);
+  const core::TrainStats stats = solver.train();
+  EXPECT_EQ(stats.status.code(), StatusCode::kNumericDivergence);
+  EXPECT_EQ(stats.stop_reason, core::StopReason::kDivergence);
+  EXPECT_EQ(stats.rollbacks, 2);
+  EXPECT_EQ(stats.checks, 0);
+}
+
 TEST(Chaos, RollbackBudgetExhaustionDegradesToFallback) {
   SKIP_WITHOUT_HOOKS();
   const design::Design d = chaos_design();

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -12,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "design/generator.hpp"
 #include "eval/metrics.hpp"
+#include "util/deadline.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
 #include "plain_oracle.hpp"
@@ -625,6 +627,153 @@ TEST(DgrSolver, ArenaRegrowthIsZeroAfterWarmup) {
   regrowth.reset();  // warm-up over: from here on, any regrowth is a bug
   for (int i = 2; i < 50; ++i) solver.train_step(i);
   EXPECT_EQ(regrowth.value(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Plateau stop (DgrConfig::patience_checks)
+// ---------------------------------------------------------------------------
+
+/// Sparse enough that the first check's extraction is already overflow-free,
+/// so the default patience ends training well before iteration 1000.
+design::Design sparse_design() {
+  design::IspdLikeParams p;
+  p.name = "plateau_sparse";
+  p.grid_w = p.grid_h = 16;
+  p.num_nets = 80;
+  p.layers = 5;
+  p.tracks_per_layer = 4;
+  return design::generate_ispd_like(p, 3);
+}
+
+/// The paper schedule shape at `iterations`: ten temperature decays.
+DgrConfig schedule_config(int iterations) {
+  DgrConfig config;
+  config.iterations = iterations;
+  config.temperature_interval = iterations / 10;
+  return config;
+}
+
+void expect_same_routes(const eval::RouteSolution& got, const eval::RouteSolution& want,
+                        const std::string& label) {
+  ASSERT_EQ(got.nets.size(), want.nets.size()) << label;
+  for (std::size_t n = 0; n < want.nets.size(); ++n) {
+    ASSERT_EQ(got.nets[n].paths.size(), want.nets[n].paths.size()) << label << " net " << n;
+    for (std::size_t k = 0; k < want.nets[n].paths.size(); ++k) {
+      EXPECT_EQ(got.nets[n].paths[k].waypoints, want.nets[n].paths[k].waypoints)
+          << label << " net " << n << " path " << k;
+    }
+  }
+}
+
+TEST(DgrSolver, PlateauStopIsBitwiseDeterministicAcrossWorkerCounts) {
+  const design::Design d = sparse_design();
+  const auto cap = d.capacities();
+  const dag::DagForest forest = dag::DagForest::build(d, {});
+  const DgrConfig config = schedule_config(1000);
+
+  struct Outcome {
+    TrainStats stats;
+    std::vector<float> logits;
+    eval::RouteSolution solution;
+  };
+  auto run_at = [&](std::size_t workers) {
+    util::set_worker_count(workers);
+    DgrSolver solver(forest, cap, config);
+    Outcome out;
+    out.stats = solver.train();
+    out.logits = solver.logits();
+    out.solution = solver.extract();
+    return out;
+  };
+  const Outcome ref = run_at(1);
+  ASSERT_EQ(ref.stats.stop_reason, StopReason::kPlateau);
+  EXPECT_LT(ref.stats.iterations_run, config.iterations);
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+    const Outcome got = run_at(workers);
+    const std::string label = "workers=" + std::to_string(workers);
+    EXPECT_EQ(got.stats.iterations_run, ref.stats.iterations_run) << label;
+    EXPECT_EQ(got.stats.stop_reason, ref.stats.stop_reason) << label;
+    EXPECT_EQ(got.stats.checks, ref.stats.checks) << label;
+    EXPECT_EQ(got.stats.best_check_iteration, ref.stats.best_check_iteration) << label;
+    EXPECT_EQ(got.logits, ref.logits) << label;
+    expect_same_routes(got.solution, ref.solution, label);
+  }
+  util::set_worker_count(0);
+}
+
+TEST(DgrSolver, PlateauStopReturnsTheBestCheck) {
+  const design::Design d = sparse_design();
+  const auto cap = d.capacities();
+  const dag::DagForest forest = dag::DagForest::build(d, {});
+  const DgrConfig config = schedule_config(1000);
+  DgrSolver solver(forest, cap, config);
+  const TrainStats stats = solver.train();
+  ASSERT_EQ(stats.stop_reason, StopReason::kPlateau);
+  EXPECT_TRUE(stats.status.ok());
+  EXPECT_LT(stats.iterations_run, config.iterations);
+  // The best check beat every later one, patience_checks times in a row.
+  EXPECT_EQ(stats.checks, stats.best_check_iteration / 50 + config.patience_checks);
+  EXPECT_EQ(stats.iterations_run, 50 * stats.checks);
+  const eval::RouteSolution sol = solver.extract();
+  const eval::Metrics m = eval::compute_metrics(sol, cap, forest.options().via_demand_beta);
+  EXPECT_EQ(m.overflow_edges, 0);
+
+  // The same trajectory stepped by hand, without checks: its state after
+  // best_check_iteration steps is the best check, and it is not the state
+  // at the stop.
+  DgrConfig fixed = config;
+  fixed.patience_checks = 0;
+  DgrSolver replay(forest, cap, fixed);
+  for (int it = 0; it < stats.best_check_iteration; ++it) replay.train_step(it);
+  EXPECT_EQ(solver.logits(), replay.logits());
+  expect_same_routes(sol, replay.extract(), "best check");
+  for (int it = stats.best_check_iteration; it < stats.iterations_run; ++it) {
+    replay.train_step(it);
+  }
+  EXPECT_NE(solver.logits(), replay.logits());
+}
+
+TEST(DgrSolver, OverflowingDesignKeepsTheScheduleBitForBit) {
+  // No track anywhere: every extraction overflows, so the checks back off
+  // (50, 150, 350, 750) and training runs the whole schedule with its
+  // final logits, exactly as with no checks at all.
+  auto fx = ConflictFixture::make();
+  const std::vector<float> no_tracks(fx.cap.size(), 0.0f);
+  DgrConfig config = schedule_config(800);
+  config.record_telemetry = true;
+  DgrSolver checked(fx.forest(), no_tracks, config);
+  const TrainStats with_checks = checked.train();
+  config.patience_checks = 0;
+  DgrSolver fixed(fx.forest(), no_tracks, config);
+  const TrainStats without = fixed.train();
+
+  EXPECT_EQ(with_checks.stop_reason, StopReason::kIterations);
+  EXPECT_EQ(with_checks.checks, 4);
+  EXPECT_EQ(without.checks, 0);
+  EXPECT_EQ(without.best_check_iteration, -1);
+  EXPECT_EQ(with_checks.iterations_run, without.iterations_run);
+  EXPECT_EQ(with_checks.iterations_run, 800);
+  EXPECT_EQ(checked.logits(), fixed.logits());
+  expect_same_routes(checked.extract(), fixed.extract(), "overflowing");
+  ASSERT_EQ(with_checks.telemetry.samples().size(), without.telemetry.samples().size());
+  for (std::size_t i = 0; i < without.telemetry.samples().size(); ++i) {
+    EXPECT_EQ(with_checks.telemetry.samples()[i].loss, without.telemetry.samples()[i].loss)
+        << i;
+  }
+}
+
+TEST(DgrSolver, ExpiredDeadlineReportsDeadlineStop) {
+  const design::Design d = sparse_design();
+  const auto cap = d.capacities();
+  const dag::DagForest forest = dag::DagForest::build(d, {});
+  DgrConfig config = schedule_config(1000);
+  config.deadline = util::Deadline(std::chrono::steady_clock::now());
+  DgrSolver solver(forest, cap, config);
+  const TrainStats stats = solver.train();
+  EXPECT_EQ(stats.status.code(), StatusCode::kStageTimeout);
+  EXPECT_EQ(stats.stop_reason, StopReason::kDeadline);
+  EXPECT_EQ(stats.checks, 0);
+  EXPECT_EQ(stats.iterations_run, 0);
 }
 
 }  // namespace

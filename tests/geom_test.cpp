@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "geom/geom.hpp"
 #include "util/rng.hpp"
@@ -105,6 +107,22 @@ TEST(HananGrid, EnumeratesFullCross) {
 TEST(DedupePoints, KeepsFirstOccurrenceOrder) {
   const auto out = dedupe_points({{1, 1}, {2, 2}, {1, 1}, {3, 3}, {2, 2}});
   EXPECT_EQ(out, (std::vector<Point>{{1, 1}, {2, 2}, {3, 3}}));
+}
+
+TEST(DedupePoints, LongListsKeepFirstOccurrenceOrder) {
+  // Short lists scan the kept prefix, long ones use a set: both must keep
+  // the first occurrence of each point, in input order.
+  for (const std::size_t n : {std::size_t{32}, std::size_t{33}, std::size_t{200}}) {
+    std::vector<Point> pts;
+    for (std::size_t i = 0; i < n; ++i) {
+      pts.push_back({static_cast<Coord>((i * 7) % 13), static_cast<Coord>((i * 3) % 5)});
+    }
+    std::vector<Point> want;
+    for (const Point& p : pts) {
+      if (std::find(want.begin(), want.end(), p) == want.end()) want.push_back(p);
+    }
+    EXPECT_EQ(dedupe_points(pts), want) << n;
+  }
 }
 
 TEST(DedupePoints, EmptyAndSingleton) {

@@ -240,6 +240,38 @@ TEST(Pipeline, DgrCountsTrainableLogits) {
   EXPECT_LT(trainable, logits);
 }
 
+TEST(Pipeline, DgrReportsPlateauCounters) {
+  // A sparse design: the first check's extraction is overflow-free, so the
+  // default patience (6) stops training at the seventh check.
+  design::IspdLikeParams p;
+  p.name = "pipeline_sparse";
+  p.grid_w = p.grid_h = 16;
+  p.num_nets = 60;
+  p.layers = 5;
+  p.tracks_per_layer = 4;
+  const design::Design d = design::generate_ispd_like(p, 5);
+  RoutingContext ctx(d);
+  Pipeline pipe(ctx);
+  RouterOptions opts;
+  opts.dgr.iterations = 400;
+  opts.dgr.temperature_interval = 40;
+  constexpr double kMissing = -2.0;
+
+  const PipelineResult stopped = pipe.run("dgr", opts);
+  EXPECT_EQ(stopped.stats.counter("stopped_on_plateau", kMissing), 1.0);
+  EXPECT_EQ(stopped.stats.counter("checks", kMissing), 7.0);
+  EXPECT_EQ(stopped.stats.counter("best_check_iteration", kMissing), 50.0);
+  EXPECT_EQ(stopped.stats.counter("iterations"), 350.0);
+  EXPECT_EQ(stopped.metrics.overflow_edges, 0);
+
+  opts.dgr.patience_checks = 0;
+  const PipelineResult fixed = pipe.run("dgr", opts);
+  EXPECT_EQ(fixed.stats.counter("stopped_on_plateau", kMissing), 0.0);
+  EXPECT_EQ(fixed.stats.counter("checks", kMissing), 0.0);
+  EXPECT_EQ(fixed.stats.counter("best_check_iteration", kMissing), -1.0);
+  EXPECT_EQ(fixed.stats.counter("iterations"), 400.0);
+}
+
 TEST(Pipeline, DgrOnDesignWithoutRoutableNetsIsOkAndEmpty) {
   // Every net's pins share one g-cell, so the forest is empty. DGR trains
   // zero steps and extracts an empty solution, like the other routers.
