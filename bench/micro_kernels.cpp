@@ -1,12 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the ad:: kernels and of a full DGR
 // training iteration — the per-iteration cost that Figure 5a's runtime curve
 // is built from. Kernel benches reuse one arena-backed tape across
-// iterations (reset() keeps capacity), matching the solver's steady state;
-// scalar rows pin the SIMD toggle off, and *Avx2 rows (skipped unless built
-// with -DDGR_SIMD=ON) report the AVX2 kernel paths separately. The custom
-// main() additionally emits BENCH_micro_kernels.json (dgr-bench-v1: one row
-// per benchmark with ns/iter, plus AVX2-vs-scalar speedup summaries) into
-// the working dir.
+// iterations (reset() keeps capacity), matching the solver's steady state.
+// The custom main() additionally emits BENCH_micro_kernels.json
+// (dgr-bench-v1: one row per benchmark with ns/iter) into the working dir.
 
 #include <benchmark/benchmark.h>
 
@@ -18,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "ad/simd.hpp"
 #include "dgr/dgr.hpp"
 
 namespace {
@@ -31,24 +27,7 @@ std::vector<float> randu(util::Rng& rng, std::size_t n) {
   return v;
 }
 
-/// Pins the runtime SIMD toggle for the duration of one benchmark run, so
-/// scalar rows stay scalar even in a DGR_SIMD build (and vice versa the
-/// *Avx2 rows always measure the vector paths).
-class SimdPin {
- public:
-  explicit SimdPin(bool on) : prev_(ad::simd::enabled()) { ad::simd::set_enabled(on); }
-  ~SimdPin() { ad::simd::set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
-
-void segment_softmax_bench(benchmark::State& state, bool simd) {
-  if (simd && !ad::simd::compiled_in()) {
-    state.SkipWithError("built without DGR_SIMD");
-    return;
-  }
-  SimdPin pin(simd);
+void BM_SegmentSoftmax(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(1);
   const std::vector<float> x = randu(rng, n);
@@ -63,12 +42,7 @@ void segment_softmax_bench(benchmark::State& state, bool simd) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-
-void BM_SegmentSoftmax(benchmark::State& state) { segment_softmax_bench(state, false); }
 BENCHMARK(BM_SegmentSoftmax)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_SegmentSoftmaxAvx2(benchmark::State& state) { segment_softmax_bench(state, true); }
-BENCHMARK(BM_SegmentSoftmaxAvx2)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 struct SolverFixture {
   std::unique_ptr<design::Design> design;
@@ -105,12 +79,7 @@ BENCHMARK(BM_DgrTrainStep)->Arg(500)->Arg(2000)->Arg(8000)->Unit(benchmark::kMil
 /// The fused selection+demand kernel (softmax -> coupling -> scatter) on the
 /// real relaxation structure of an ispd-like design, forward+backward on a
 /// reused tape. Args: {nets, workers}.
-void selection_demand_bench(benchmark::State& state, bool simd) {
-  if (simd && !ad::simd::compiled_in()) {
-    state.SkipWithError("built without DGR_SIMD");
-    return;
-  }
-  SimdPin pin(simd);
+void BM_SelectionDemandKernel(benchmark::State& state) {
   const auto nets = static_cast<int>(state.range(0));
   const auto workers = static_cast<std::size_t>(state.range(1));
   SolverFixture fx(nets);
@@ -133,25 +102,11 @@ void selection_demand_bench(benchmark::State& state, bool simd) {
   util::set_worker_count(0);
   state.counters["paths"] = static_cast<double>(np);
 }
-
-void BM_SelectionDemandKernel(benchmark::State& state) {
-  selection_demand_bench(state, false);
-}
 BENCHMARK(BM_SelectionDemandKernel)->Args({2000, 1})->Args({2000, 4});
-
-void BM_SelectionDemandKernelAvx2(benchmark::State& state) {
-  selection_demand_bench(state, true);
-}
-BENCHMARK(BM_SelectionDemandKernelAvx2)->Args({2000, 4});
 
 /// The fused overflow cost (subtract capacity -> activation -> sum),
 /// forward+backward on a reused tape. Args: {n, workers}.
-void overflow_kernel_bench(benchmark::State& state, bool simd) {
-  if (simd && !ad::simd::compiled_in()) {
-    state.SkipWithError("built without DGR_SIMD");
-    return;
-  }
-  SimdPin pin(simd);
+void BM_OverflowKernel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto workers = static_cast<std::size_t>(state.range(1));
   util::Rng rng(3);
@@ -166,12 +121,7 @@ void overflow_kernel_bench(benchmark::State& state, bool simd) {
   }
   util::set_worker_count(0);
 }
-
-void BM_OverflowKernel(benchmark::State& state) { overflow_kernel_bench(state, false); }
 BENCHMARK(BM_OverflowKernel)->Args({1 << 14, 1})->Args({1 << 14, 4})->Args({1 << 16, 4});
-
-void BM_OverflowKernelAvx2(benchmark::State& state) { overflow_kernel_bench(state, true); }
-BENCHMARK(BM_OverflowKernelAvx2)->Args({1 << 14, 4})->Args({1 << 16, 4});
 
 void BM_ForestBuild(benchmark::State& state) {
   util::LogSilencer quiet;
@@ -251,30 +201,12 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
   std::vector<std::pair<std::string, double>> results_;
 };
 
-double find_ns(const std::vector<std::pair<std::string, double>>& results,
-               const std::string& name) {
-  for (const auto& [n, ns] : results) {
-    if (n == name) return ns;
-  }
-  return 0.0;
-}
-
 void write_json(const std::vector<std::pair<std::string, double>>& results,
                 const char* path) {
   obs::BenchEmitter emitter("micro_kernels",
                             "per-iteration kernel costs behind Fig. 5a (DAC'24)");
   for (const auto& [name, ns] : results) {
     emitter.add_row(name).metric("ns_per_iter", ns);
-  }
-  // AVX2 speedup over the scalar row of the same case (DGR_SIMD builds only).
-  for (const auto& [name, avx2_ns] : results) {
-    const std::size_t pos = name.find("Avx2");
-    if (pos == std::string::npos || avx2_ns <= 0.0) continue;
-    std::string scalar_name = name;
-    scalar_name.erase(pos, 4);
-    const double scalar_ns = find_ns(results, scalar_name);
-    if (scalar_ns <= 0.0) continue;
-    emitter.summary("avx2_speedup/" + scalar_name, scalar_ns / avx2_ns);
   }
   emitter.write(path);
 }

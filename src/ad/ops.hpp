@@ -10,10 +10,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "ad/activation.hpp"
 #include "ad/tape.hpp"
 
 namespace dgr::ad {
+
+/// The overflow activations studied in Fig. 6 of the paper.
+enum class Activation { kReLU, kSigmoid, kLeakyReLU, kExp, kCELU };
+const char* activation_name(Activation a);
 
 // LIFETIME CONTRACT: offset/index/CSR arrays passed by reference or pointer
 // (segment_softmax offsets, fused_softmax_demand's group, path_tree and
@@ -23,8 +26,7 @@ namespace dgr::ad {
 // into the tape pools and may be temporaries.
 //
 // Each op appends one typed OpRecord (ad/op_record.hpp) replayed by
-// Tape::backward; the hot kernels route through ad/simd.hpp when the
-// DGR_SIMD build has AVX2 enabled at runtime (scalar fallback otherwise).
+// Tape::backward.
 
 /// Softmax within each group g over [offsets[g], offsets[g+1]):
 ///   y_i = exp((x_i + noise_i)/t) / Σ_group exp((x_k + noise_k)/t)

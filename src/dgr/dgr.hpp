@@ -14,7 +14,6 @@
 #include "ad/adam.hpp"
 #include "ad/gradcheck.hpp"
 #include "ad/ops.hpp"
-#include "ad/simd.hpp"
 #include "ad/tape.hpp"
 #include "core/config.hpp"
 #include "core/relaxation.hpp"

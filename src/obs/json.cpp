@@ -190,8 +190,15 @@ class Parser {
   bool parse_value(Value* out) {
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        return fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      }
+      ++depth_;
+      const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       std::string s;
       if (!parse_string(&s)) return false;
@@ -332,6 +339,7 @@ class Parser {
   std::string_view text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -21,6 +21,11 @@ namespace dgr::obs::json {
 
 class Value;
 
+/// Deepest array/object nesting Value::parse accepts. The parser recurses
+/// once per level, so the bound keeps a hostile line from exhausting the
+/// stack; every document the repo reads or writes is far shallower.
+inline constexpr int kMaxDepth = 64;
+
 /// Ordered key/value members — insertion order is emission order.
 using Members = std::vector<std::pair<std::string, Value>>;
 
@@ -67,7 +72,8 @@ class Value {
   std::string dump(int indent = 0) const;
 
   /// Parses standard JSON. Returns false (and fills *error when non-null)
-  /// on malformed input; *out is unspecified on failure.
+  /// on malformed input or nesting deeper than kMaxDepth; *out is
+  /// unspecified on failure.
   static bool parse(std::string_view text, Value* out, std::string* error = nullptr);
 
  private:

@@ -52,6 +52,14 @@ Status read_bool(const Value& doc, const char* key, bool* out) {
   return Status();
 }
 
+/// Range checks for the numbers that are cast to an integer type: a cast
+/// from a double outside the target range (1e309 parses as infinity) is
+/// undefined. 2^64 is exact in a double.
+bool fits_u64(double v) { return v >= 0.0 && v < 18446744073709551616.0; }
+bool fits_int(double v) {
+  return v >= std::numeric_limits<int>::min() && v <= std::numeric_limits<int>::max();
+}
+
 Status bad_mutation(const std::string& what) {
   return Status(StatusCode::kInvalidArgument, "eco mutation: " + what);
 }
@@ -81,7 +89,7 @@ Status parse_index_list(const Value& doc, const char* key, std::vector<std::size
   }
   out->reserve(v->items().size());
   for (const Value& item : v->items()) {
-    if (!item.is_number() || item.as_number() < 0 ||
+    if (!item.is_number() || !fits_u64(item.as_number()) ||
         item.as_number() != std::floor(item.as_number())) {
       return bad_mutation(std::string("'") + key + "' entries must be non-negative integers");
     }
@@ -184,6 +192,7 @@ Result<design::Mutation> parse_mutation(const Value& doc) {
       }
       double cls = 0.0;
       DGR_RETURN_IF_ERROR(read_number(entry, "class", &cls));
+      if (!fits_int(cls)) return bad_mutation("'class' is out of range");
       m.added.push_back(std::move(net));
       m.added_class.push_back(static_cast<int>(cls));
     }
@@ -198,12 +207,14 @@ Result<design::Mutation> parse_mutation(const Value& doc) {
     if (m.kind == design::MutationKind::kMoveBlockage) {
       double index = 0.0;
       DGR_RETURN_IF_ERROR(read_number(doc, "index", &index));
+      if (!fits_u64(index)) return bad_mutation("'index' is out of range");
       m.blockage_index = static_cast<std::size_t>(index);
     }
   } else if (kind == "remove_blockage") {
     m.kind = design::MutationKind::kRemoveBlockage;
     double index = 0.0;
     DGR_RETURN_IF_ERROR(read_number(doc, "index", &index));
+    if (!fits_u64(index)) return bad_mutation("'index' is out of range");
     m.blockage_index = static_cast<std::size_t>(index);
   } else if (kind == "reweight_class") {
     m.kind = design::MutationKind::kReweightClass;
@@ -213,6 +224,7 @@ Result<design::Mutation> parse_mutation(const Value& doc) {
     if (!(weight > 0.0) || !std::isfinite(weight)) {
       return bad_mutation("'weight' must be a positive finite number");
     }
+    if (!fits_int(cls)) return bad_mutation("'class' is out of range");
     m.net_class = static_cast<int>(cls);
     m.new_weight = static_cast<float>(weight);
   } else {
@@ -267,13 +279,16 @@ Result<Request> parse_request(const std::string& line) {
   double seed = 0.0;
   DGR_RETURN_IF_ERROR(read_number(doc, "seed", &seed, &req.has_seed));
   if (req.has_seed) {
-    if (seed < 0.0) return Status(StatusCode::kInvalidArgument, "'seed' must be >= 0");
+    if (!fits_u64(seed)) {
+      return Status(StatusCode::kInvalidArgument, "'seed' must be in [0, 2^64)");
+    }
     req.seed = static_cast<std::uint64_t>(seed);
   }
   double deadline = 0.0;
   DGR_RETURN_IF_ERROR(read_number(doc, "deadline_ms", &deadline));
-  if (deadline < 0.0) {
-    return Status(StatusCode::kInvalidArgument, "'deadline_ms' must be >= 0");
+  // The bound keeps submit's steady_clock offset inside its int64 range.
+  if (deadline < 0.0 || deadline > 1e9) {
+    return Status(StatusCode::kInvalidArgument, "'deadline_ms' must be in [0, 1e9]");
   }
   req.deadline_ms = deadline;
   double iterations = 0.0;
@@ -325,7 +340,9 @@ Result<Request> parse_request(const std::string& line) {
         req.generate_mutation = true;
         double mseed = 1.0;
         DGR_RETURN_IF_ERROR(read_number(*mut, "seed", &mseed));
-        if (mseed < 0.0) return Status(StatusCode::kInvalidArgument, "mutation 'seed' must be >= 0");
+        if (!fits_u64(mseed)) {
+          return Status(StatusCode::kInvalidArgument, "mutation 'seed' must be in [0, 2^64)");
+        }
         req.mutation_seed = static_cast<std::uint64_t>(mseed);
       } else {
         Result<design::Mutation> parsed = parse_mutation(*mut);

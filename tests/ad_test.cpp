@@ -8,7 +8,6 @@
 #include "ad/adam.hpp"
 #include "ad/gradcheck.hpp"
 #include "ad/ops.hpp"
-#include "ad/simd.hpp"
 #include "ad/tape.hpp"
 #include "core/relaxation.hpp"
 #include "design/generator.hpp"
@@ -323,7 +322,7 @@ void expect_near_oracle(std::span<const float> got, const std::vector<double>& w
                         const char* what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_NEAR(got[i], want[i], 1e-7 + oracle::rtol() * std::abs(want[i])) << what << i;
+    EXPECT_NEAR(got[i], want[i], 1e-7 + oracle::kRtol * std::abs(want[i])) << what << i;
   }
 }
 
@@ -502,11 +501,10 @@ TEST(FusedOverflowCost, MatchesPlainLoopOracle) {
                                Activation::kLeakyReLU, Activation::kExp,
                                Activation::kCELU}) {
     Tape tape;
-    // Blocks of 16 over 27 elements: the multi-block partial reduction and,
-    // with the SIMD kernels, both full vector lanes and a scalar tail.
+    // Blocks of 16 over 27 elements: the multi-block partial reduction.
     const NodeId y = fused_overflow_cost(tape, tape.input(x0), cap, act, 1.0f, /*block=*/16);
     const double want = oracle::overflow_cost(demand, cap, act, 1.0);
-    EXPECT_NEAR(tape.value(y)[0], want, 1e-7 + oracle::rtol() * std::abs(want))
+    EXPECT_NEAR(tape.value(y)[0], want, 1e-7 + oracle::kRtol * std::abs(want))
         << activation_name(act);
   }
 }
@@ -701,114 +699,11 @@ TEST(Tape, ResetKeepsCapacityAndReproducesValues) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD-vs-scalar equivalence (compiled only under DGR_SIMD; self-skips
-// otherwise so the same test source runs in both preset matrix legs)
-// ---------------------------------------------------------------------------
-
-class SimdGuard {
- public:
-  explicit SimdGuard(bool on) : prev_(simd::enabled()) { simd::set_enabled(on); }
-  ~SimdGuard() { simd::set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
-
-TEST(Simd, SoftmaxMatchesScalarWithinTolerance) {
-  if (!simd::compiled_in()) GTEST_SKIP() << "built without DGR_SIMD";
-  util::Rng rng(321);
-  const std::vector<float> x0 = random_vec(rng, 4096, 2.0f);
-  std::vector<std::int32_t> offsets;
-  for (std::int32_t i = 0; i <= 4096; i += 64) offsets.push_back(i);
-
-  auto run = [&](bool simd_on) {
-    SimdGuard guard(simd_on);
-    Tape tape;
-    const NodeId x = tape.input(x0);
-    const NodeId p = segment_softmax(tape, x, offsets, 0.8f);
-    tape.backward(weighted_sum(tape, p));
-    return std::pair{std::vector<float>(tape.value(p).begin(), tape.value(p).end()),
-                     std::vector<double>(tape.grad(x).begin(), tape.grad(x).end())};
-  };
-  const auto scalar = run(false);
-  const auto vec = run(true);
-  // The vector exp polynomial differs from libm by a few ulp; the contract
-  // is tolerance, not bitwise equality (DESIGN.md §5.4).
-  for (std::size_t i = 0; i < scalar.first.size(); ++i) {
-    EXPECT_NEAR(vec.first[i], scalar.first[i], 1e-6f + 1e-5f * std::abs(scalar.first[i]))
-        << i;
-  }
-  for (std::size_t i = 0; i < scalar.second.size(); ++i) {
-    EXPECT_NEAR(vec.second[i], scalar.second[i],
-                1e-7 + 1e-5 * std::abs(scalar.second[i]))
-        << i;
-  }
-}
-
-TEST(Simd, FusedOverflowMatchesScalarWithinTolerance) {
-  if (!simd::compiled_in()) GTEST_SKIP() << "built without DGR_SIMD";
-  util::Rng rng(654);
-  const std::vector<float> x0 = random_vec(rng, 2048, 1.5f);
-  std::vector<float> cap(2048);
-  for (float& c : cap) c = std::abs(static_cast<float>(rng.normal()));
-
-  for (const Activation act : {Activation::kReLU, Activation::kSigmoid,
-                               Activation::kLeakyReLU, Activation::kExp,
-                               Activation::kCELU}) {
-    auto run = [&](bool simd_on) {
-      SimdGuard guard(simd_on);
-      Tape tape;
-      const NodeId x = tape.input(x0);
-      const NodeId y = fused_overflow_cost(tape, x, cap, act, 1.0f);
-      tape.backward(y);
-      return std::pair{tape.value(y)[0],
-                       std::vector<double>(tape.grad(x).begin(), tape.grad(x).end())};
-    };
-    const auto scalar = run(false);
-    const auto vec = run(true);
-    EXPECT_NEAR(vec.first, scalar.first,
-                1e-5f + 1e-5f * std::abs(scalar.first))
-        << activation_name(act);
-    for (std::size_t i = 0; i < scalar.second.size(); ++i) {
-      EXPECT_NEAR(vec.second[i], scalar.second[i],
-                  1e-7 + 1e-5 * std::abs(scalar.second[i]))
-          << activation_name(act) << " " << i;
-    }
-  }
-}
-
-TEST(Simd, GradCheckPassesWithSimdEnabled) {
-  if (!simd::compiled_in()) GTEST_SKIP() << "built without DGR_SIMD";
-  SimdGuard guard(true);
-  util::Rng rng(111);
-  const std::vector<float> x0 = random_vec(rng, 96);
-  const std::vector<std::int32_t> offsets{0, 24, 48, 96};
-  auto f = [&](const std::vector<float>& x) {
-    SimdGuard inner(true);
-    Tape tape;
-    const NodeId xs = tape.input(x);
-    const NodeId p = segment_softmax(tape, xs, offsets, 1.0f);
-    return static_cast<double>(tape.value(weighted_sum(tape, p))[0]);
-  };
-  Tape tape;
-  const NodeId x = tape.input(x0);
-  tape.backward(weighted_sum(tape, segment_softmax(tape, x, offsets, 1.0f)));
-  const auto r = grad_check(f, x0, tape.grad(x), 1e-3, 2e-4, 1e-2);
-  EXPECT_TRUE(r.ok) << "max_abs_err=" << r.max_abs_err
-                    << " max_rel_err=" << r.max_rel_err;
-}
-
-// ---------------------------------------------------------------------------
 // One-element groups: the invariants behind DgrSolver's inert-logit skip
 // ---------------------------------------------------------------------------
 
 /// Temperatures from 1 down to DgrSolver::temperature_at's 1e-6 floor.
 constexpr float kSkipTemperatures[] = {1.0f, 0.3f, 1e-2f, 1e-4f, 1e-6f};
-
-/// Scalar mode always; the AVX2 kernels too when built with DGR_SIMD.
-std::vector<bool> simd_modes() {
-  return simd::compiled_in() ? std::vector<bool>{false, true} : std::vector<bool>{false};
-}
 
 /// Finite logits, finite Gumbel noise and arbitrary gradient weights.
 struct SkipInputs {
@@ -833,37 +728,27 @@ TEST(SegmentSoftmax, SingletonGroupIsOne) {
   const std::vector<std::int32_t> offsets{0, 1, 3, 4, 5, 8, 9};
   const std::size_t singles[] = {0, 3, 4, 8};
   const SkipInputs in(9, 41);
-  for (const bool simd_on : simd_modes()) {
-    SimdGuard guard(simd_on);
-    for (const float t : kSkipTemperatures) {
-      for (const std::vector<float>* noise : {static_cast<const std::vector<float>*>(nullptr),
-                                              &in.noise}) {
-        Tape tape;
-        const NodeId x = tape.input(in.x);
-        const NodeId y = segment_softmax(tape, x, offsets, t, noise);
-        tape.backward(combine(
-            tape, {weighted_sum(tape, y, in.w_out), weighted_sum(tape, x, in.w_in)},
-            {1.0f, 1.0f}));
-        for (const std::size_t i : singles) {
-          const std::string where = "simd=" + std::to_string(simd_on) +
-                                    " t=" + std::to_string(t) +
-                                    " noise=" + std::to_string(noise != nullptr) +
-                                    " i=" + std::to_string(i);
-          const float l = (in.x[i] + (noise != nullptr ? in.noise[i] : 0.0f)) / t;
-          ASSERT_TRUE(std::isfinite(l)) << where;
-          EXPECT_EQ(std::exp(l - l), 1.0f) << where;
-          EXPECT_EQ(tape.value(y)[i], 1.0f) << where;
-          EXPECT_EQ(tape.grad(x)[i], static_cast<double>(in.w_in[i])) << where;
-        }
-        EXPECT_NEAR(tape.value(y)[1] + tape.value(y)[2], 1.0f, 1e-6f);
+  for (const float t : kSkipTemperatures) {
+    for (const std::vector<float>* noise : {static_cast<const std::vector<float>*>(nullptr),
+                                            &in.noise}) {
+      Tape tape;
+      const NodeId x = tape.input(in.x);
+      const NodeId y = segment_softmax(tape, x, offsets, t, noise);
+      tape.backward(combine(
+          tape, {weighted_sum(tape, y, in.w_out), weighted_sum(tape, x, in.w_in)},
+          {1.0f, 1.0f}));
+      for (const std::size_t i : singles) {
+        const std::string where = "t=" + std::to_string(t) +
+                                  " noise=" + std::to_string(noise != nullptr) +
+                                  " i=" + std::to_string(i);
+        const float l = (in.x[i] + (noise != nullptr ? in.noise[i] : 0.0f)) / t;
+        ASSERT_TRUE(std::isfinite(l)) << where;
+        EXPECT_EQ(std::exp(l - l), 1.0f) << where;
+        EXPECT_EQ(tape.value(y)[i], 1.0f) << where;
+        EXPECT_EQ(tape.grad(x)[i], static_cast<double>(in.w_in[i])) << where;
       }
+      EXPECT_NEAR(tape.value(y)[1] + tape.value(y)[2], 1.0f, 1e-6f);
     }
-  }
-  if (simd::compiled_in()) {
-    // The AVX2 path stages l - l = 0 and relies on the vector exp of 0.
-    std::vector<float> zeros(19, 0.0f);
-    simd::exp_sweep(zeros.data(), 3, 19);
-    for (std::size_t i = 3; i < zeros.size(); ++i) EXPECT_EQ(zeros[i], 1.0f) << i;
   }
 }
 
@@ -887,35 +772,31 @@ TEST(FusedSoftmaxDemand, OneElementGroupsAreExactlyOneAndAddZeroGradient) {
   const SkipInputs paths(7, 43);
   const SkipInputs trees(3, 47);
 
-  for (const bool simd_on : simd_modes()) {
-    SimdGuard guard(simd_on);
-    for (const float t : kSkipTemperatures) {
-      for (const bool with_noise : {false, true}) {
-        Tape tape;
-        const NodeId xp = tape.input(paths.x);
-        const NodeId xq = tape.input(trees.x);
-        const FusedSelectionDemand sel = fused_softmax_demand(
-            tape, xp, xq, p_groups, q_groups, path_tree, tree_paths, inc, t,
-            with_noise ? &paths.noise : nullptr, with_noise ? &trees.noise : nullptr);
-        tape.backward(combine(tape,
-                              {weighted_sum(tape, sel.demand, wd),
-                               weighted_sum(tape, sel.eff, paths.w_out),
-                               weighted_sum(tape, xp, paths.w_in),
-                               weighted_sum(tape, xq, trees.w_in)},
-                              {1.0f, 1.0f, 1.0f, 1.0f}));
-        const std::string where = "simd=" + std::to_string(simd_on) +
-                                  " t=" + std::to_string(t) +
-                                  " noise=" + std::to_string(with_noise);
-        for (const std::size_t i : path_singles) {
-          EXPECT_EQ(tape.value(sel.p)[i], 1.0f) << where << " path " << i;
-          EXPECT_EQ(tape.grad(xp)[i], static_cast<double>(paths.w_in[i]))
-              << where << " path " << i;
-        }
-        for (const std::size_t i : tree_singles) {
-          EXPECT_EQ(tape.value(sel.q)[i], 1.0f) << where << " tree " << i;
-          EXPECT_EQ(tape.grad(xq)[i], static_cast<double>(trees.w_in[i]))
-              << where << " tree " << i;
-        }
+  for (const float t : kSkipTemperatures) {
+    for (const bool with_noise : {false, true}) {
+      Tape tape;
+      const NodeId xp = tape.input(paths.x);
+      const NodeId xq = tape.input(trees.x);
+      const FusedSelectionDemand sel = fused_softmax_demand(
+          tape, xp, xq, p_groups, q_groups, path_tree, tree_paths, inc, t,
+          with_noise ? &paths.noise : nullptr, with_noise ? &trees.noise : nullptr);
+      tape.backward(combine(tape,
+                            {weighted_sum(tape, sel.demand, wd),
+                             weighted_sum(tape, sel.eff, paths.w_out),
+                             weighted_sum(tape, xp, paths.w_in),
+                             weighted_sum(tape, xq, trees.w_in)},
+                            {1.0f, 1.0f, 1.0f, 1.0f}));
+      const std::string where = "t=" + std::to_string(t) +
+                                " noise=" + std::to_string(with_noise);
+      for (const std::size_t i : path_singles) {
+        EXPECT_EQ(tape.value(sel.p)[i], 1.0f) << where << " path " << i;
+        EXPECT_EQ(tape.grad(xp)[i], static_cast<double>(paths.w_in[i]))
+            << where << " path " << i;
+      }
+      for (const std::size_t i : tree_singles) {
+        EXPECT_EQ(tape.value(sel.q)[i], 1.0f) << where << " tree " << i;
+        EXPECT_EQ(tape.grad(xq)[i], static_cast<double>(trees.w_in[i]))
+            << where << " tree " << i;
       }
     }
   }

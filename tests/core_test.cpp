@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "ad/gradcheck.hpp"
-#include "ad/simd.hpp"
 #include "core/solver.hpp"
 #include "obs/metrics.hpp"
 #include "design/generator.hpp"
@@ -62,18 +61,6 @@ DgrConfig fast_config() {
   config.record_telemetry = true;
   return config;
 }
-
-/// Pins the runtime SIMD toggle for tests whose expectations are functions
-/// of exact scalar arithmetic (trajectory identity on a knife-edge fixture,
-/// finite differences at libm precision). No-op in non-SIMD builds.
-class ScalarModeGuard {
- public:
-  ScalarModeGuard() : prev_(ad::simd::enabled()) { ad::simd::set_enabled(false); }
-  ~ScalarModeGuard() { ad::simd::set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
 
 TEST(Relaxation, StructuresMatchForest) {
   auto fx = ConflictFixture::make();
@@ -154,9 +141,7 @@ TEST(DgrSolver, TrainingReducesCost) {
 
 TEST(DgrSolver, ResolvesTheTwoNetConflict) {
   // The symmetric fixture is a knife-edge instance (about half of all seeds
-  // resolve it); this test pins the scalar exp so the expectation stays a
-  // deterministic function of the seed across the DGR_SIMD preset matrix.
-  ScalarModeGuard scalar;
+  // resolve it); the expectation is a deterministic function of the seed.
   auto fx = ConflictFixture::make();
   DgrConfig config = fast_config();
   config.iterations = 400;
@@ -251,10 +236,6 @@ float via_scale(const Design& design) {
 
 TEST(DgrSolver, AnalyticGradientMatchesFiniteDifferences) {
   // End-to-end gradcheck of the real forward pass on the conflict fixture.
-  // Scalar mode: central differences at h=1e-3 cannot resolve the vector
-  // exp's ~2e-7 relative noise on a ~1e4 objective; the SIMD kernels carry
-  // their own tolerance gradchecks in ad_test (Simd.*).
-  ScalarModeGuard scalar;
   auto fx = ConflictFixture::make();
   DgrConfig config;
   config.use_gumbel = false;
@@ -441,7 +422,7 @@ TEST(DgrSolver, ForwardMatchesPlainLoopOracle) {
                               solver.logits().begin() + static_cast<std::ptrdiff_t>(np));
   const std::vector<float> xq(solver.logits().begin() + static_cast<std::ptrdiff_t>(np),
                               solver.logits().end());
-  const double rtol = oracle::rtol();
+  const double rtol = oracle::kRtol;
   for (const float t : {1.0f, 0.3f}) {
     const CostBreakdown fused = solver.evaluate(t);
     const oracle::Selection sel = oracle::selection_demand(

@@ -1,6 +1,6 @@
 // End-to-end integration tests: the full DGR pipeline against the exact ILP
 // oracle (the Table 1 claim at test scale), against the sequential baselines
-// on congested cases (the Table 2/3 claim in miniature), and through the
+// on a congested case (the Table 2 claim in miniature), and through the
 // complete post-processing stack. All routers are constructed through the
 // pipeline registry; the ILP oracle shares the context's forest/capacities.
 
@@ -71,7 +71,9 @@ pipeline::RouterOptions table1_router_options(const Table1Case& c, int iters = 4
 class DgrMatchesIlp : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DgrMatchesIlp, OnSmallTable1Instances) {
-  Table1Case c = make_case(12, 1, 10, 5, GetParam());
+  // 50 nets on a 50x50 grid: a 1-iteration DGR stays above the optimum on
+  // seeds 2-5, so equality here is the optimiser's work.
+  Table1Case c = make_case(50, 1, 50, 10, GetParam());
   // Exact optimum, on the identical candidate forest the DGR run uses.
   ilp::MilpOptions mopts;
   mopts.time_limit_seconds = 60.0;
@@ -86,12 +88,10 @@ TEST_P(DgrMatchesIlp, OnSmallTable1Instances) {
   EXPECT_TRUE(r.solution.connects_all_pins());
   const double dgr_overflow = r.metrics.total_overflow;
 
-  // The paper's Table 1 shows DGR matching ILP on these instances; allow a
-  // whisker of slack for the stochastic optimiser at test iteration counts.
-  EXPECT_LE(dgr_overflow, ilp_result.overflow + 1.0)
+  // The paper's Table 1: DGR reaches the ILP optimum.
+  EXPECT_EQ(dgr_overflow, ilp_result.overflow)
       << "seed " << GetParam() << ": DGR " << dgr_overflow << " vs ILP "
       << ilp_result.overflow;
-  EXPECT_GE(dgr_overflow, ilp_result.overflow - 1e-9);  // ILP is a true lower bound
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DgrMatchesIlp, ::testing::Values(1, 2, 3, 4, 5));
@@ -118,7 +118,7 @@ TEST(Integration, DgrBeatsGreedyOnConflictLadder) {
   EXPECT_DOUBLE_EQ(r.metrics.total_overflow, 0.0);
 }
 
-TEST(Integration, DgrCompetitiveWithCugr2LiteOnCongestedCase) {
+TEST(Integration, DgrHasFewerOverflowedEdgesThanCugr2LiteOnCongestedCase) {
   design::IspdLikeParams p;
   p.name = "mini_ispd19";
   p.grid_w = p.grid_h = 24;
@@ -136,12 +136,13 @@ TEST(Integration, DgrCompetitiveWithCugr2LiteOnCongestedCase) {
   pipeline::RouterOptions ro;
   ro.dgr.iterations = 300;
   ro.dgr.temperature_interval = 60;
-  const pipeline::PipelineResult dgr_run = pipe.run(
-      "dgr", ro, pipeline::StagePlan{.maze_refine = true, .layer_assign = false});
+  const pipeline::PipelineResult dgr_run = pipe.run("dgr", ro, kRouteOnly);
 
-  // The paper's headline: DGR mitigates overflow relative to CUGR2. At test
-  // scale we assert it is at least competitive (<= baseline + small slack).
-  EXPECT_LE(dgr_run.metrics.overflow_edges, base.metrics.overflow_edges + 3)
+  // The paper's Table 2 headline: DGR leaves fewer overflowed edges than
+  // CUGR2. Neither side gets maze refine, so the optimiser alone decides; a
+  // 1-iteration DGR has more overflowed edges than cugr2-lite here. Total
+  // overflow is not asserted: on this fixture it goes the other way.
+  EXPECT_LT(dgr_run.metrics.overflow_edges, base.metrics.overflow_edges)
       << "DGR " << dgr_run.metrics.overflow_edges << " vs CUGR2-lite "
       << base.metrics.overflow_edges;
   EXPECT_TRUE(dgr_run.solution.connects_all_pins());

@@ -83,6 +83,20 @@ TEST(ObsJson, ParseRejectsMalformed) {
   for (const char* bad : {"{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2"}) {
     EXPECT_FALSE(json::Value::parse(bad, &out)) << bad;
   }
+  // Nesting: kMaxDepth levels of mixed arrays and objects parse, one more
+  // level fails with the parser's usual error.
+  auto nested = [](int depth) {
+    std::string open, close;
+    for (int i = 0; i < depth; ++i) {
+      open += i % 2 == 0 ? "[" : "{\"k\":";
+      close.insert(0, i % 2 == 0 ? "]" : "}");
+    }
+    return open + "1" + close;
+  };
+  EXPECT_TRUE(json::Value::parse(nested(json::kMaxDepth), &out));
+  std::string error;
+  EXPECT_FALSE(json::Value::parse(nested(json::kMaxDepth + 1), &out, &error));
+  EXPECT_NE(error.find("nesting deeper than 64 levels"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------------

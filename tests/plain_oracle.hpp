@@ -12,16 +12,13 @@
 #include <limits>
 #include <vector>
 
-#include "ad/activation.hpp"
 #include "ad/ops.hpp"
-#include "ad/simd.hpp"
 
 namespace dgr::oracle {
 
-/// Relative tolerance of a fused forward value against these loops: float
-/// rounding alone in scalar mode; with the SIMD kernels active, also the
-/// vector exp's few-ulp difference from libm (DESIGN.md §5.4).
-inline double rtol() { return ad::simd::active() ? 1e-5 : 1e-6; }
+/// Relative tolerance of a fused forward value against these loops: the
+/// kernels' float rounding.
+constexpr double kRtol = 1e-6;
 
 /// softmax((x_i + noise_i) / t) within each group [offsets[g], offsets[g+1]).
 inline std::vector<double> group_softmax(const std::vector<float>& x,

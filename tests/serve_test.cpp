@@ -4,7 +4,8 @@
 // rejections are typed, never dropped), deadlines and the cancelling
 // shutdown (one per-request util::Deadline), the retry-then-degrade
 // sequencing of the route handler, session LRU eviction, worker-count
-// determinism, and the serve.* chaos sites. The acceptance gate lives at the bottom: a seeded
+// determinism, the serve.* chaos sites, and a seeded fuzzer of hostile
+// request lines. The acceptance gate lives at the bottom: a seeded
 // mixed load of 200+ requests with every serve.* and pipeline fault site
 // armed must end with zero crashes, every failure typed, and the accounting
 // invariant offered = succeeded + rejected + failed intact.
@@ -17,6 +18,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -34,6 +36,7 @@
 #include "serve/transport.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/socket.h>
@@ -230,6 +233,20 @@ TEST(ServeProtocol, MalformedAndInvalidRequestsAreTyped) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+  // Numbers that do not fit the field they land in: seeds are uint64, a
+  // deadline becomes a steady_clock offset. 1e309 parses as infinity.
+  for (const char* field : {R"("seed":1e309)", R"("seed":18446744073709551616)",
+                            R"("deadline_ms":1e309)", R"("deadline_ms":1e300)"}) {
+    const std::string line =
+        std::string(R"({"id":"r","op":"route","session":"s",)") + field + "}";
+    EXPECT_EQ(serve::parse_request(line).status().code(), StatusCode::kInvalidArgument)
+        << field;
+  }
+  // 50,000 levels of nesting: a typed parse error, not a stack overflow.
+  const std::string deep = R"({"op":"ping","id":"x","pad":)" + std::string(50000, '[') +
+                           std::string(50000, ']') + "}";
+  EXPECT_EQ(serve::parse_request(deep).status().code(), StatusCode::kParseError);
+  EXPECT_EQ(serve::recover_request_id(deep), "");
 }
 
 TEST(ServeProtocol, PartitionsFieldParsesAndRejectsBadValues) {
@@ -321,6 +338,15 @@ TEST(ServeProtocol, MutationPayloadsParse) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+  // Numbers outside the integer type they are cast to (1e309 is infinity).
+  for (const char* bad :
+       {R"({"kind":"remove_nets","nets":[1e309]})",
+        R"({"kind":"remove_blockage","index":-1})",
+        R"({"kind":"move_blockage","rect":[0,0,2,2],"scale":0.5,"index":1e309})",
+        R"({"kind":"reweight_class","class":1e10,"weight":2})",
+        R"({"kind":"add_nets","add":[{"name":"nx","pins":[[0,0]],"class":-1e309}]})"}) {
+    EXPECT_EQ(parse(bad).status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1100,6 +1126,142 @@ TEST(ServeChaos, MixedLoadUnderFaultsKeepsAccountingInvariant) {
   EXPECT_EQ(obs::metrics().counter("serve.requests.succeeded").value(), a.succeeded);
   EXPECT_EQ(obs::metrics().counter("serve.requests.rejected").value(), a.rejected);
   EXPECT_EQ(obs::metrics().counter("serve.requests.failed").value(), a.failed);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile requests: seeded mutations of valid lines, one typed answer each
+// ---------------------------------------------------------------------------
+
+/// Bytes a mutation inserts or writes: JSON structure, number parts, an
+/// escape start, NUL, a newline and bytes that are not UTF-8.
+constexpr char kFuzzBytes[] = {'{', '}', '[', ']', ':', ',', '"', '\\', '0', '7', '-',
+                               '+', '.', 'e', ' ', 'u', '\0', '\n', '\x7f', '\xc3', '\xff'};
+
+/// Values spliced into a line: 50,000 levels of nesting, +-infinity, -0,
+/// 2^64, a NUL escape, lone surrogates, an unterminated string and a very
+/// long string (a very long id when it lands on "id").
+std::vector<std::string> hostile_literals() {
+  return {std::string(50000, '[') + std::string(50000, ']'),
+          "1e309",
+          "-1e309",
+          "-0",
+          "18446744073709551616",
+          R"("\u0000")",
+          R"("\ud800")",
+          R"("\udfff")",
+          R"("unterminated)",
+          '"' + std::string(100000, 'i') + '"'};
+}
+
+/// One seeded edit of `line`: an inserted, deleted or replaced byte, the
+/// value after a random ':' replaced by a hostile literal, or a hostile
+/// literal inserted anywhere.
+void mutate_request(std::string& line, util::Rng& rng,
+                    const std::vector<std::string>& literals) {
+  auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  auto byte = [&] { return kFuzzBytes[pick(sizeof(kFuzzBytes))]; };
+  switch (pick(5)) {
+    case 0:
+      line.insert(pick(line.size() + 1), 1, byte());
+      break;
+    case 1:
+      line.erase(pick(line.size()), 1);
+      break;
+    case 2:
+      line[pick(line.size())] = byte();
+      break;
+    case 3: {
+      const std::size_t colon = line.find(':', pick(line.size()));
+      if (colon == std::string::npos) break;
+      const std::size_t end = std::min(line.find_first_of(",}", colon + 1), line.size());
+      line.replace(colon + 1, end - colon - 1, literals[pick(literals.size())]);
+      break;
+    }
+    default:
+      line.insert(pick(line.size() + 1), literals[pick(literals.size())]);
+      break;
+  }
+}
+
+TEST(ServeFuzz, MutatedRequestsGetOneTypedAnswerEach) {
+  ServerOptions options;
+  options.workers = 1;
+  options.default_iterations = 4;
+  options.default_deadline_ms = 200.0;
+  Server server(options);
+  server.start();
+
+  // One valid base line per op but shutdown, over two tiny sessions. Every
+  // data-plane line carries a small deadline, so a mutated number cannot
+  // stall the run.
+  const std::string design = design_text(serve_design(5, 6, 6));
+  for (const char* session : {"f0", "f1"}) {
+    ASSERT_TRUE(response_ok(expect_valid_response(
+        server.call(load_line(std::string("pre-") + session, session, design)))));
+  }
+  Value load = Value::object();
+  load["id"] = "l";
+  load["op"] = "load";
+  load["session"] = "f1";
+  load["design"] = design;
+  load["seed"] = 3;
+  load["deadline_ms"] = 50;
+  const std::vector<std::string> bases = {
+      R"({"id":"p","op":"ping"})",
+      load.dump(0),
+      R"({"id":"r","op":"route","session":"f0","router":"dgr","seed":2,"deadline_ms":50})",
+      R"({"id":"c","op":"route","session":"f1","router":"cugr2-lite","deadline_ms":50})",
+      R"({"id":"e","op":"eco","session":"f0","deadline_ms":50,)"
+      R"("mutation":{"kind":"add_blockage","rect":[1,1,3,3],"scale":0.5}})",
+      R"({"id":"g","op":"eco","session":"f1","deadline_ms":50,)"
+      R"("mutation":{"generate":true,"seed":4}})",
+      R"({"id":"s","op":"stats"})",
+      R"({"id":"m","op":"metrics","format":"prometheus"})"};
+  const std::vector<std::string> literals = hostile_literals();
+
+  int ok_lines = 0;
+  int error_lines = 0;
+  std::set<std::string> codes;
+  constexpr int kLinesPerSeed = 300;
+  for (const std::uint64_t seed : {2026ull, 2027ull}) {
+    util::Rng rng(seed);
+    for (int i = 0; i < kLinesPerSeed; ++i) {
+      std::string line = bases[static_cast<std::size_t>(i) % bases.size()];
+      const int edits = static_cast<int>(rng.uniform_int(0, 3));
+      for (int k = 0; k < edits && !line.empty(); ++k) mutate_request(line, rng, literals);
+      const Value doc = expect_valid_response(server.call(line));
+      if (HasFailure()) {
+        ADD_FAILURE() << "seed " << seed << " line " << i << ": "
+                      << line.substr(0, 300);
+        return;
+      }
+      if (response_ok(doc)) {
+        ++ok_lines;
+      } else {
+        ++error_lines;
+        codes.insert(error_code(doc));
+      }
+    }
+  }
+  constexpr int kLines = 2 * kLinesPerSeed;
+  EXPECT_GE(ok_lines, kLines / 10);
+  EXPECT_GE(error_lines, kLines / 10);
+  EXPECT_EQ(codes.count("PARSE_ERROR"), 1u);
+  EXPECT_EQ(codes.count("INVALID_ARGUMENT"), 1u);
+  EXPECT_EQ(codes.count("INTERNAL"), 0u);
+
+  // The published accounting, then the final one: one answer per line.
+  const Value stats = expect_valid_response(server.call(R"({"id":"end","op":"stats"})"));
+  const Value* acct = stats.find("result")->find("accounting");
+  ASSERT_NE(acct, nullptr);
+  EXPECT_EQ(acct->find("offered")->as_number(),
+            acct->find("succeeded")->as_number() + acct->find("rejected")->as_number() +
+                acct->find("failed")->as_number());
+  server.shutdown(true);
+  expect_accounting_invariant(server);
+  EXPECT_EQ(server.accounting().offered, kLines + 3);  // + two preloads and the stats
 }
 
 // ---------------------------------------------------------------------------
