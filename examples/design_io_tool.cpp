@@ -15,12 +15,23 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 
 #include "dgr/dgr.hpp"
 
 namespace {
 
 using namespace dgr;
+
+/// Reads the design at `path`; on failure prints the typed status.
+std::optional<design::Design> load(const char* path) {
+  Result<design::Design> loaded = design::try_read_design_file(path);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "error: %s\n", loaded.status().to_string().c_str());
+    return std::nullopt;
+  }
+  return loaded.take();
+}
 
 int cmd_gen(int argc, char** argv) {
   if (argc < 3) {
@@ -46,7 +57,9 @@ int cmd_info(int argc, char** argv) {
     std::fprintf(stderr, "usage: design_io_tool info <in.dgrd>\n");
     return 2;
   }
-  const design::Design d = design::read_design_file(argv[2]);
+  const std::optional<design::Design> loaded = load(argv[2]);
+  if (!loaded) return 1;
+  const design::Design& d = *loaded;
   std::printf("design  : %s\n", d.name().c_str());
   std::printf("grid    : %dx%d, %d layers\n", d.grid().width(), d.grid().height(),
               d.grid().layer_count());
@@ -69,7 +82,9 @@ int cmd_route(int argc, char** argv) {
     std::fprintf(stderr, "usage: design_io_tool route <in.dgrd> [iterations]\n");
     return 2;
   }
-  const design::Design d = design::read_design_file(argv[2]);
+  const std::optional<design::Design> loaded = load(argv[2]);
+  if (!loaded) return 1;
+  const design::Design& d = *loaded;
   const int iters = argc > 3 ? std::atoi(argv[3]) : 500;
   const std::vector<float> cap = d.capacities();
 

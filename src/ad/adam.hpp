@@ -7,21 +7,16 @@
 
 namespace dgr::ad {
 
-struct AdamConfig {
-  double lr = 0.3;  ///< paper default for DGR
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double eps = 1e-8;
-};
-
+/// Adam with the usual moment decays beta1 = 0.9, beta2 = 0.999 and
+/// eps = 1e-8; only the learning rate is a parameter.
 class Adam {
  public:
-  /// Trains every parameter of a vector of `size`.
-  Adam(std::size_t size, AdamConfig config = {});
+  /// Trains every parameter of a vector of `size`. 0.3 is the paper's rate.
+  explicit Adam(std::size_t size, double lr = 0.3);
   /// Trains only params[trained[k]] (indices into a vector of `size`,
   /// ascending so no two parallel chunks share a parameter): the other
   /// parameters are never written and keep no moments.
-  Adam(std::size_t size, std::vector<std::int32_t> trained, AdamConfig config);
+  Adam(std::size_t size, std::vector<std::int32_t> trained, double lr);
 
   /// Applies one update to every trained parameter, with grads[k] the
   /// gradient of params[trained[k]]:
@@ -36,7 +31,7 @@ class Adam {
   void reset();
 
  private:
-  AdamConfig config_;
+  double lr_ = 0.0;
   std::size_t size_ = 0;
   std::vector<std::int32_t> trained_;
   std::vector<double> m_;

@@ -8,18 +8,18 @@
 /// improving (patience_checks; 0 restores the fixed schedule).
 
 #include <cstdint>
-#include <string>
 
 #include "ad/ops.hpp"
+#include "eval/metrics.hpp"
 #include "util/deadline.hpp"
 
 namespace dgr::core {
 
 struct DgrConfig {
   // Objective weights: cost = a3*overflow + a2*via + a1*wirelength.
-  float weight_wirelength = 0.5f;  ///< a1
-  float weight_via = 4.0f;         ///< a2
-  float weight_overflow = 500.0f;  ///< a3
+  float weight_wirelength = static_cast<float>(eval::kWirelengthWeight);  ///< a1
+  float weight_via = static_cast<float>(eval::kViaWeight);                ///< a2
+  float weight_overflow = static_cast<float>(eval::kOverflowWeight);      ///< a3
 
   ad::Activation activation = ad::Activation::kSigmoid;
   float activation_alpha = 1.0f;  ///< LeakyReLU/CELU parameter
@@ -48,7 +48,6 @@ struct DgrConfig {
   int patience_checks = 6;
 
   std::uint64_t seed = 1;
-  float init_logit_std = 0.5f;  ///< random logit initialisation scale
 
   /// Record the full convergence telemetry series (loss, overflow
   /// expectation, temperature, gradient norm, rollback events — the data
@@ -71,8 +70,5 @@ struct DgrConfig {
   /// default never expires.
   util::Deadline deadline;
 };
-
-/// One-line description for logs/bench labels.
-std::string describe(const DgrConfig& config);
 
 }  // namespace dgr::core

@@ -20,6 +20,9 @@ namespace {
 /// overflow-free; the first check comes after this many.
 constexpr int kCheckInterval = 50;
 
+/// Standard deviation of the random logit initialisation.
+constexpr float kInitLogitStd = 0.5f;
+
 }  // namespace
 
 DgrSolver::DgrSolver(const dag::DagForest& forest, std::vector<float> capacities,
@@ -29,8 +32,7 @@ DgrSolver::DgrSolver(const dag::DagForest& forest, std::vector<float> capacities
       capacities_(std::move(capacities)),
       config_(config),
       params_(relax_.logit_count(), 0.0f),
-      adam_(params_.size(), relax_.trainable,
-            ad::AdamConfig{config.learning_rate, 0.9, 0.999, 1e-8}),
+      adam_(params_.size(), relax_.trainable, config.learning_rate),
       rng_(config.seed) {
   if (capacities_.size() != static_cast<std::size_t>(forest.design().grid().edge_count())) {
     throw std::invalid_argument("DgrSolver: capacity vector size mismatch");
@@ -40,7 +42,7 @@ DgrSolver::DgrSolver(const dag::DagForest& forest, std::vector<float> capacities
   // Random logit initialisation ("w is initialized randomly", Section 5).
   util::Rng init = rng_.fork(0xC0FFEE);
   for (float& w : params_) {
-    w = static_cast<float>(init.normal()) * config_.init_logit_std;
+    w = static_cast<float>(init.normal()) * kInitLogitStd;
   }
 }
 

@@ -14,6 +14,11 @@ using grid::GCellGrid;
 
 namespace {
 
+/// Adaptive expansion: the share of an edge's base capacity its estimated
+/// demand must exceed, and the Z-shape jogs a subnet near it receives.
+constexpr float kAdaptiveThreshold = 0.8f;
+constexpr int kAdaptiveZSamples = 3;
+
 /// Per-net intermediate produced by the (parallel) generation phase.
 struct NetForest {
   std::vector<rsmt::SteinerTree> trees;
@@ -24,8 +29,7 @@ struct NetForest {
 
 /// True when the subnet's bounding box touches an edge whose estimated
 /// pre-routing demand exceeds the adaptive-expansion threshold.
-bool subnet_in_congestion(const TreeCandidateGenerator& gen, const ForestOptions& opts,
-                          Point a, Point b) {
+bool subnet_in_congestion(const TreeCandidateGenerator& gen, Point a, Point b) {
   const GCellGrid& grid = gen.design().grid();
   const auto& est = gen.congestion();
   const geom::Rect box = geom::Rect::bounding_box({a, b});
@@ -35,7 +39,7 @@ bool subnet_in_congestion(const TreeCandidateGenerator& gen, const ForestOptions
                              y + 1 <= box.hi.y ? grid.v_edge(x, y) : grid::kInvalidEdge}) {
         if (e == grid::kInvalidEdge) continue;
         if (est[static_cast<std::size_t>(e)] >
-            opts.adaptive_threshold * static_cast<float>(grid.base_capacity(e))) {
+            kAdaptiveThreshold * static_cast<float>(grid.base_capacity(e))) {
           return true;
         }
       }
@@ -57,8 +61,8 @@ NetForest build_net(const TreeCandidateGenerator& gen, const ForestOptions& opts
       const Point pb = tree.nodes[static_cast<std::size_t>(b)];
       nf.tree_subnets[t].emplace_back(pa, pb);
       PathEnumOptions path_opts = opts.paths;
-      if (opts.adaptive_expansion && subnet_in_congestion(gen, opts, pa, pb)) {
-        path_opts.z_samples = std::max(path_opts.z_samples, opts.adaptive_z_samples);
+      if (opts.adaptive_expansion && subnet_in_congestion(gen, pa, pb)) {
+        path_opts.z_samples = std::max(path_opts.z_samples, kAdaptiveZSamples);
       }
       nf.subnet_paths[t].push_back(
           enumerate_paths(pa, pb, path_opts, gen.design().grid()));

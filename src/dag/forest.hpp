@@ -36,13 +36,10 @@ struct ForestOptions {
   /// Adaptive forest expansion — the future direction the paper sketches in
   /// Section 3.1 ("adaptive expansion of the forest by introducing new DAGs
   /// and DAG edges for nets in congested areas"): subnets whose bounding box
-  /// touches an edge whose *estimated* pre-routing demand exceeds
-  /// `adaptive_threshold` x base capacity additionally receive Z-shape
-  /// candidates with `adaptive_z_samples` jogs; everything else stays with
-  /// the cheap default `paths` enumeration.
+  /// touches an edge whose *estimated* pre-routing demand exceeds 0.8 x base
+  /// capacity additionally receive Z-shape candidates with 3 jogs;
+  /// everything else stays with the cheap default `paths` enumeration.
   bool adaptive_expansion = false;
-  float adaptive_threshold = 0.8f;
-  int adaptive_z_samples = 3;
 
   /// Field-wise; RoutingContext::forest() rebuilds on any difference.
   bool operator==(const ForestOptions&) const = default;
@@ -101,7 +98,6 @@ class DagForest {
   // ---- geometry ------------------------------------------------------------
   /// Reconstructs the full waypoint polyline of path i.
   PatternPath path_geometry(std::size_t i) const;
-  const std::vector<Point>& bend_pool() const { return bend_pool_; }
 
   const design::Design& design() const { return *design_; }
   const ForestOptions& options() const { return opts_; }

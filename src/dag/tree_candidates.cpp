@@ -10,6 +10,15 @@ using geom::Rect;
 using grid::EdgeId;
 using grid::GCellGrid;
 
+namespace {
+
+/// SALT shallowness slack of candidate 3.
+constexpr double kSaltEpsilon = 0.5;
+/// Steiner-node search radius (cells) of candidate 1.
+constexpr int kShiftWindow = 2;
+
+}  // namespace
+
 std::vector<float> estimate_congestion(const Design& design) {
   const GCellGrid& grid = design.grid();
   std::vector<float> demand(static_cast<std::size_t>(grid.edge_count()), 0.0f);
@@ -41,10 +50,7 @@ std::vector<float> estimate_congestion(const Design& design) {
 
 TreeCandidateGenerator::TreeCandidateGenerator(const Design& design,
                                                TreeCandidateOptions opts)
-    : design_(design),
-      opts_(opts),
-      builder_(opts.rsmt),
-      congestion_(estimate_congestion(design)) {}
+    : design_(design), opts_(opts), congestion_(estimate_congestion(design)) {}
 
 float TreeCandidateGenerator::cell_congestion(Point p) const {
   const GCellGrid& grid = design_.grid();
@@ -71,8 +77,8 @@ SteinerTree TreeCandidateGenerator::shift_steiner_nodes(const SteinerTree& tree)
     // Penalise wirelength growth so the shift trades congestion against WL
     // the way CUGR2's fine-tuning does.
     float best_score = cell_congestion(orig);
-    for (int dx = -opts_.shift_window; dx <= opts_.shift_window; ++dx) {
-      for (int dy = -opts_.shift_window; dy <= opts_.shift_window; ++dy) {
+    for (int dx = -kShiftWindow; dx <= kShiftWindow; ++dx) {
+      for (int dy = -kShiftWindow; dy <= kShiftWindow; ++dy) {
         const Point cand{static_cast<geom::Coord>(orig.x + dx),
                          static_cast<geom::Coord>(orig.y + dy)};
         if (!grid.in_bounds(cand) || cand == orig) continue;
@@ -140,7 +146,7 @@ std::vector<SteinerTree> TreeCandidateGenerator::generate(std::size_t net_idx) c
   if (opts_.salt_topology && pins.size() >= 3) {
     // Shallow-light candidate (SALT family): short source-to-sink paths at
     // bounded extra wirelength. Pin 0 is taken as the driver.
-    push_unique(rsmt::salt_tree(pins, {opts_.salt_epsilon, 0}));
+    push_unique(rsmt::salt_tree(pins, {kSaltEpsilon, 0}));
   }
   return out;
 }

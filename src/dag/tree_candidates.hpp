@@ -32,9 +32,6 @@ struct TreeCandidateOptions {
   bool congestion_shifted = true;  ///< emit candidate 1
   bool trunk_topology = false;     ///< emit candidate 2
   bool salt_topology = false;      ///< emit candidate 3: shallow-light tree
-  double salt_epsilon = 0.5;       ///< SALT shallowness slack
-  int shift_window = 2;            ///< Steiner-node search radius (cells)
-  rsmt::RsmtOptions rsmt;
 
   bool operator==(const TreeCandidateOptions&) const = default;
 };

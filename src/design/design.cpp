@@ -37,11 +37,11 @@ std::vector<float> Design::local_net_density() const {
   return density;
 }
 
-std::vector<float> Design::capacities(float beta) const {
+std::vector<float> Design::capacities() const {
   grid::CapacityInputs in;
   in.pin_density = pin_density();
   in.local_nets = local_net_density();
-  in.beta_default = beta;
+  in.beta_default = kCapacityBeta;
   return grid::compute_capacities(grid_, in);
 }
 

@@ -17,6 +17,10 @@ namespace dgr::design {
 using geom::Point;
 using grid::GCellGrid;
 
+/// Eq. (1)'s uniform beta: the share of a cell's pin density charged
+/// against its edges' tracks.
+inline constexpr float kCapacityBeta = 0.5f;
+
 struct Net {
   std::string name;
   std::vector<Point> pins;  ///< deduplicated g-cell locations, >= 1 entry
@@ -49,8 +53,8 @@ class Design {
   /// Per-cell local-net counts (input to Eq. 1).
   std::vector<float> local_net_density() const;
 
-  /// Per-edge 2D capacities following Eq. (1) with uniform beta.
-  std::vector<float> capacities(float beta = 0.5f) const;
+  /// Per-edge 2D capacities following Eq. (1) with beta = kCapacityBeta.
+  std::vector<float> capacities() const;
 
   /// Sum over nets of pin-bounding-box half-perimeter: a lower bound on any
   /// routing solution's total wirelength.

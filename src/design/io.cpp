@@ -290,16 +290,4 @@ Result<Design> try_read_design_file(const std::string& path, const DesignLimits&
   return try_read_design(is, limits);
 }
 
-Design read_design(std::istream& is) {
-  Result<Design> result = try_read_design(is);
-  if (!result.ok()) throw std::runtime_error(result.status().to_string());
-  return result.take();
-}
-
-Design read_design_file(const std::string& path) {
-  Result<Design> result = try_read_design_file(path);
-  if (!result.ok()) throw std::runtime_error(result.status().to_string());
-  return result.take();
-}
-
 }  // namespace dgr::design

@@ -54,9 +54,4 @@ Result<Design> try_read_design(std::istream& is, const DesignLimits& limits = {}
 Result<Design> try_read_design_file(const std::string& path,
                                     const DesignLimits& limits = {});
 
-/// Throwing convenience wrappers over the Status API (std::runtime_error
-/// carrying Status::to_string()).
-Design read_design(std::istream& is);
-Design read_design_file(const std::string& path);
-
 }  // namespace dgr::design

@@ -76,9 +76,8 @@ Rect draw_rect(const GCellGrid& grid, double span, Rng& rng) {
 
 }  // namespace
 
-std::vector<float> DesignState::capacities(float capacity_beta,
-                                           const std::vector<float>& base) const {
-  std::vector<float> cap = base.empty() ? design.capacities(capacity_beta) : base;
+std::vector<float> DesignState::capacities(const std::vector<float>& base) const {
+  std::vector<float> cap = base.empty() ? design.capacities() : base;
   const GCellGrid& grid = design.grid();
   for (const Blockage& b : blockages) {
     for (grid::EdgeId e = 0; e < grid.edge_count(); ++e) {
@@ -99,19 +98,6 @@ DesignState make_design_state(Design design, std::uint64_t seed) {
   state.class_weight = {1.0f, 2.0f, 4.0f};  // default / clock / critical
   state.design = std::move(design);
   return state;
-}
-
-const char* mutation_kind_name(MutationKind kind) {
-  switch (kind) {
-    case MutationKind::kMovePins: return "move_pins";
-    case MutationKind::kAddNets: return "add_nets";
-    case MutationKind::kRemoveNets: return "remove_nets";
-    case MutationKind::kAddBlockage: return "add_blockage";
-    case MutationKind::kMoveBlockage: return "move_blockage";
-    case MutationKind::kRemoveBlockage: return "remove_blockage";
-    case MutationKind::kReweightClass: return "reweight_class";
-  }
-  return "unknown";
 }
 
 // ---------------------------------------------------------------------------

@@ -59,10 +59,9 @@ struct DesignState {
                : 1.0f;
   }
 
-  /// Per-edge capacities: `base` (Eq. 1 with `capacity_beta` when empty)
-  /// with every blockage's scale applied to the edges it covers.
-  std::vector<float> capacities(float capacity_beta = 0.5f,
-                                const std::vector<float>& base = {}) const;
+  /// Per-edge capacities: `base` (Eq. 1 when empty) with every blockage's
+  /// scale applied to the edges it covers.
+  std::vector<float> capacities(const std::vector<float>& base = {}) const;
 };
 
 /// Wraps `design` with the standard three-class partition (default / clock
@@ -83,8 +82,6 @@ enum class MutationKind : int {
   kRemoveBlockage, ///< erase an overlay
   kReweightClass,  ///< change one net class's routing weight
 };
-
-const char* mutation_kind_name(MutationKind kind);
 
 /// One atomic perturbation. Only the fields of the active `kind` are read.
 struct Mutation {

@@ -22,6 +22,10 @@ constexpr int kMaxClosureRounds = 8;
 /// Demand tolerance below which a capacity change is considered unchanged.
 constexpr float kCapEps = 1e-4f;
 
+/// Capacity increase (in tracks) an edge needs to join the opportunity
+/// closure; smaller changes are noise such as Eq. 1 pin-density drift.
+constexpr float kOpportunityMinGain = 0.5f;
+
 }  // namespace
 
 EcoEngine::EcoEngine(design::DesignState base, EcoOptions options)
@@ -36,7 +40,7 @@ EcoEngine::EcoEngine(design::DesignState base, EcoOptions options)
 EcoEngine::~EcoEngine() = default;
 
 std::vector<float> EcoEngine::compute_capacities(const design::DesignState& state) const {
-  return state.capacities(options_.context.capacity_beta, options_.context.capacities);
+  return state.capacities(options_.context.capacities);
 }
 
 Result<EcoResult> EcoEngine::route_full() {
@@ -171,7 +175,7 @@ Result<EcoResult> EcoEngine::apply(const design::Mutation& mutation) {
     std::vector<grid::EdgeId> freed;
     for (grid::EdgeId e = 0; e < grid.edge_count(); ++e) {
       const auto ei = static_cast<std::size_t>(e);
-      if (cap[ei] > cap_old[ei] + options_.opportunity_min_gain) freed.push_back(e);
+      if (cap[ei] > cap_old[ei] + kOpportunityMinGain) freed.push_back(e);
     }
     if (!freed.empty()) {
       for (const std::size_t idx : nd.routable_nets()) {
@@ -241,23 +245,20 @@ Result<EcoResult> EcoEngine::apply(const design::Mutation& mutation) {
     copts.seed = options_.context.seed + static_cast<std::uint64_t>(applied_) + 1;
     pipeline::RoutingContext subctx(sub_design, copts);
 
-    if (options_.warm_start_delta) {
-      // Previous routes of closure nets whose pins did not change are valid
-      // geometry; routers with warm-start support resume from them.
-      eval::RouteSolution warm;
-      warm.design = &sub_design;
-      for (std::size_t k = 0; k < delta.size(); ++k) {
-        const std::size_t idx = delta[k];
-        const std::ptrdiff_t old = new_to_old[idx];
-        if (old < 0 || prior_route[idx] == nullptr) continue;
-        if (nd.net(idx).pins !=
-            solution_.design->net(static_cast<std::size_t>(old)).pins) {
-          continue;
-        }
-        warm.nets.push_back({k, prior_route[idx]->paths});
+    // Previous routes of closure nets whose pins did not change are valid
+    // geometry; routers with warm-start support resume from them.
+    eval::RouteSolution warm;
+    warm.design = &sub_design;
+    for (std::size_t k = 0; k < delta.size(); ++k) {
+      const std::size_t idx = delta[k];
+      const std::ptrdiff_t old = new_to_old[idx];
+      if (old < 0 || prior_route[idx] == nullptr) continue;
+      if (nd.net(idx).pins != solution_.design->net(static_cast<std::size_t>(old)).pins) {
+        continue;
       }
-      if (!warm.nets.empty()) subctx.set_warm_start(std::move(warm));
+      warm.nets.push_back({k, prior_route[idx]->paths});
     }
+    if (!warm.nets.empty()) subctx.set_warm_start(std::move(warm));
 
     const std::unique_ptr<pipeline::Router> router =
         pipeline::make_router(options_.router, options_.router_options);
@@ -352,20 +353,8 @@ Result<EcoResult> EcoEngine::finalize(std::unique_ptr<design::DesignState> next,
   pipeline::RoutingContext ctx(next->design, copts);
   ctx.reset_demand();
   ctx.commit(merged);
-  if (options_.validate) {
-    result.validation = pipeline::validate_solution(ctx, merged);
-    if (!result.validation.demand_consistent) {
-      ctx.reset_demand();
-      ctx.commit(merged);
-    }
-    if (!result.validation.broken_nets.empty()) {
-      post::MazeRefineOptions ropts;
-      ropts.via_beta = ctx.via_beta();
-      stats.repaired_nets = pipeline::repair_broken_nets(
-          ctx, merged, result.validation.broken_nets, ropts);
-      result.validation = pipeline::validate_solution(ctx, merged);
-    }
-  }
+  stats.repaired_nets =
+      pipeline::run_validation_gate(ctx, merged, result.validation).value_or(0);
   result.metrics = ctx.evaluate(merged);
   result.weighted_overflow = ctx.weighted_overflow(merged);
   result.nets_with_overflow = ctx.nets_with_overflow(merged);

@@ -50,7 +50,7 @@ namespace dgr::eco {
 
 struct EcoOptions {
   /// Context parameters shared by full and delta routing (seed, via model,
-  /// Eq. 1 beta, optional explicit base capacities before blockages).
+  /// optional explicit base capacities before blockages).
   pipeline::ContextOptions context;
   /// Registry name of the router used for both delta and full reroutes.
   std::string router = "cugr2-lite";
@@ -58,15 +58,6 @@ struct EcoOptions {
   /// Dirty fraction (closure / routable nets) above which apply() abandons
   /// delta routing and re-routes from scratch.
   double full_reroute_threshold = 0.35;
-  /// Seed the delta router from the previous routes of closure nets whose
-  /// pins did not change (routers without warm-start support route cold).
-  bool warm_start_delta = true;
-  /// Run the PR 3 validation gate (geometry + connectivity + demand
-  /// accounting, with maze repair) on every merged solution.
-  bool validate = true;
-  /// Capacity-increase threshold (in tracks) for the opportunity closure;
-  /// below it a change is considered noise (e.g. Eq. 1 pin-density drift).
-  float opportunity_min_gain = 0.5f;
 };
 
 /// Per-apply bookkeeping, the ECO analogue of RouterStats.

@@ -62,4 +62,12 @@ using RerouteScore = std::tuple<std::int64_t, double, std::int64_t>;
 RerouteScore reroute_score(const RouteSolution& sol, const grid::DemandMap& dm,
                            const std::vector<float>& capacities);
 
+/// The ICCAD'19 contest weights of a route's cost, a3/a2/a1 of Eq. (3):
+/// cost = 500 * overflow + 4 * via + 0.5 * wirelength. DGR's objective,
+/// maze refine's acceptance test and the baselines' wire and via costs
+/// all read them. Each is exact in float.
+inline constexpr double kOverflowWeight = 500.0;
+inline constexpr double kViaWeight = 4.0;
+inline constexpr double kWirelengthWeight = 0.5;
+
 }  // namespace dgr::eval

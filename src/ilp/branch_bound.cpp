@@ -11,6 +11,11 @@
 namespace dgr::ilp {
 namespace {
 
+constexpr std::int64_t kMaxNodes = 200000;
+constexpr std::int64_t kLpPivotLimit = 200000;
+/// Distance from an integer below which a value counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+
 struct Node {
   double bound = 0.0;  ///< parent LP objective (lower bound for minimisation)
   // Extra bound constraints accumulated down the branch: (var, floor?, value).
@@ -23,10 +28,9 @@ struct NodeOrder {
   }
 };
 
-int most_fractional(const std::vector<double>& x, const std::vector<int>& integer_vars,
-                    double tol) {
+int most_fractional(const std::vector<double>& x, const std::vector<int>& integer_vars) {
   int best = -1;
-  double best_dist = tol;
+  double best_dist = kIntegralityTol;
   for (const int v : integer_vars) {
     const double val = x[static_cast<std::size_t>(v)];
     const double frac = val - std::floor(val);
@@ -57,7 +61,7 @@ MilpResult solve_milp(const LinearProgram& lp, const std::vector<int>& integer_v
 
   while (!open.empty()) {
     if (timer.seconds() > options.time_limit_seconds ||
-        result.nodes_explored >= options.max_nodes) {
+        result.nodes_explored >= kMaxNodes) {
       result.timed_out = true;
       exhausted = false;
       break;
@@ -70,8 +74,7 @@ MilpResult solve_milp(const LinearProgram& lp, const std::vector<int>& integer_v
     LinearProgram sub = lp;
     for (const LpConstraint& c : node->extra) sub.constraints.push_back(c);
     const double remaining = options.time_limit_seconds - timer.seconds();
-    const LpResult rel =
-        solve_lp(sub, options.lp_pivot_limit, std::max(0.05, remaining));
+    const LpResult rel = solve_lp(sub, kLpPivotLimit, std::max(0.05, remaining));
     if (rel.status == LpStatus::kInfeasible) {
       if (result.nodes_explored == 1) root_infeasible = true;
       continue;
@@ -87,7 +90,7 @@ MilpResult solve_milp(const LinearProgram& lp, const std::vector<int>& integer_v
     }
     if (rel.objective >= incumbent - 1e-9) continue;
 
-    const int branch_var = most_fractional(rel.x, integer_vars, options.integrality_tol);
+    const int branch_var = most_fractional(rel.x, integer_vars);
     if (branch_var < 0) {
       // Integral: new incumbent.
       incumbent = rel.objective;

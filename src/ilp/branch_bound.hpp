@@ -12,11 +12,9 @@
 
 namespace dgr::ilp {
 
+/// Besides the time limit, the search stops (timed_out) after 200,000 nodes.
 struct MilpOptions {
   double time_limit_seconds = 60.0;
-  std::int64_t max_nodes = 200000;
-  double integrality_tol = 1e-6;
-  std::int64_t lp_pivot_limit = 200000;
 };
 
 struct MilpResult {

@@ -244,16 +244,6 @@ class Tableau {
 
 }  // namespace
 
-const char* lp_status_name(LpStatus s) {
-  switch (s) {
-    case LpStatus::kOptimal: return "optimal";
-    case LpStatus::kInfeasible: return "infeasible";
-    case LpStatus::kUnbounded: return "unbounded";
-    case LpStatus::kIterLimit: return "iter-limit";
-  }
-  return "?";
-}
-
 LpResult solve_lp(const LinearProgram& lp, std::int64_t max_pivots,
                   double deadline_seconds) {
   if (static_cast<int>(lp.objective.size()) != lp.num_vars) {

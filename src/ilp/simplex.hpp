@@ -15,7 +15,6 @@ namespace dgr::ilp {
 enum class Rel { kLe, kEq, kGe };
 
 enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterLimit };
-const char* lp_status_name(LpStatus s);
 
 struct LpConstraint {
   std::vector<std::pair<int, double>> terms;  ///< (var index, coefficient)

@@ -9,8 +9,7 @@ RoutingContext::RoutingContext(const design::Design& design, ContextOptions opti
       options_(std::move(options)),
       demand_(design.grid()),
       rng_(options_.seed) {
-  capacities_ = options_.capacities.empty() ? design.capacities(options_.capacity_beta)
-                                            : options_.capacities;
+  capacities_ = options_.capacities.empty() ? design.capacities() : options_.capacities;
 }
 
 void RoutingContext::commit(const eval::NetRoute& net, double sign) {

@@ -34,8 +34,6 @@ struct ContextOptions {
   /// Explicit per-edge 2D capacities (the Table 1 uniform-capacity
   /// protocol). Empty = derive from the design via Eq. (1).
   std::vector<float> capacities;
-  /// Eq. (1) beta used when deriving capacities from the design.
-  float capacity_beta = 0.5f;
   /// Via demand charged per bend; the single source of truth for every
   /// stage's demand bookkeeping, metrics, and the forest's via model.
   float via_beta = 0.5f;

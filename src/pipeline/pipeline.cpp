@@ -3,6 +3,7 @@
 #include <exception>
 #include <memory>
 #include <new>
+#include <optional>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -38,11 +39,6 @@ bool should_degrade(StatusCode code) {
 Pipeline::Pipeline(RoutingContext& ctx, PipelineOptions options)
     : ctx_(&ctx), options_(options) {}
 
-PipelineResult Pipeline::run(Router& router, const StagePlan& plan) {
-  ctx_->clear_warm_start();
-  return run_stages(router, plan);
-}
-
 PipelineResult Pipeline::run(const std::string& router_name, const RouterOptions& options,
                              const StagePlan& plan) {
   const std::unique_ptr<Router> router = make_router(router_name, options);
@@ -56,26 +52,8 @@ PipelineResult Pipeline::run(const std::string& router_name, const RouterOptions
   return run(*router, plan);
 }
 
-PipelineResult Pipeline::rerun(Router& router, eval::RouteSolution prior,
-                               const StagePlan& plan) {
-  ctx_->set_warm_start(std::move(prior));
-  return run_stages(router, plan);
-}
-
-PipelineResult Pipeline::rerun(const std::string& router_name, eval::RouteSolution prior,
-                               const RouterOptions& options, const StagePlan& plan) {
-  const std::unique_ptr<Router> router = make_router(router_name, options);
-  if (router == nullptr) {
-    DGR_LOG_ERROR("pipeline: no router registered under '%s'", router_name.c_str());
-    PipelineResult result;
-    result.stats.status = Status(StatusCode::kNotFound,
-                                 "no router registered under '" + router_name + "'");
-    return result;
-  }
-  return rerun(*router, std::move(prior), plan);
-}
-
-PipelineResult Pipeline::run_stages(Router& router, const StagePlan& plan) {
+PipelineResult Pipeline::run(Router& router, const StagePlan& plan) {
+  ctx_->clear_warm_start();
   DGR_TRACE_SCOPE("pipeline.run");
   obs::metrics().counter("pipeline.runs").add(1);
   PipelineResult result;
@@ -108,16 +86,16 @@ PipelineResult Pipeline::run_stages(Router& router, const StagePlan& plan) {
   result.stats.add_stage("route_total", timer.seconds());
 
   // ---- graceful degradation -----------------------------------------------
-  const StageBudgets& budgets = options_.budgets;
+  const std::string& fallback_router = options_.fallback_router;
   if (!route_status.ok() && should_degrade(route_status.code()) &&
-      (budgets.degrade_on_divergence ||
+      (options_.degrade_on_divergence ||
        route_status.code() != StatusCode::kNumericDivergence) &&
-      !budgets.fallback_router.empty() && budgets.fallback_router != router.name() &&
-      has_router(budgets.fallback_router)) {
+      !fallback_router.empty() && fallback_router != router.name() &&
+      has_router(fallback_router)) {
     DGR_LOG_WARN("pipeline: route stage of '%s' failed (%s); degrading to '%s'",
                  result.stats.router.c_str(), route_status.to_string().c_str(),
-                 budgets.fallback_router.c_str());
-    const std::unique_ptr<Router> fallback = make_router(budgets.fallback_router);
+                 fallback_router.c_str());
+    const std::unique_ptr<Router> fallback = make_router(fallback_router);
     // Preserve the failed attempt's record — in particular its convergence
     // series (the DGR trajectory up to the divergence/timeout) — before the
     // fallback's stats take over the main record.
@@ -154,7 +132,7 @@ PipelineResult Pipeline::run_stages(Router& router, const StagePlan& plan) {
       result.stats.status = fs.status;  // OK unless the fallback failed too
       result.stats.convergence = fs.convergence;
       RouteAttempt winner;
-      winner.router = budgets.fallback_router;
+      winner.router = fallback_router;
       winner.status = fs.status;
       winner.rollbacks = fs.rollbacks;
       winner.degraded = fs.degraded;
@@ -162,9 +140,9 @@ PipelineResult Pipeline::run_stages(Router& router, const StagePlan& plan) {
       result.stats.attempts.push_back(std::move(winner));
     } catch (const std::exception& e) {
       result.stats.status =
-          Status(StatusCode::kInternal, budgets.fallback_router + ": " + e.what());
+          Status(StatusCode::kInternal, fallback_router + ": " + e.what());
       RouteAttempt winner;
-      winner.router = budgets.fallback_router;
+      winner.router = fallback_router;
       winner.status = result.stats.status;
       result.stats.attempts.push_back(std::move(winner));
     }
@@ -200,23 +178,12 @@ PipelineResult Pipeline::run_stages(Router& router, const StagePlan& plan) {
   if (options_.validate) {
     DGR_TRACE_SCOPE("pipeline.validate");
     timer.reset();
-    result.validation = validate_solution(*ctx_, result.solution);
-    if (!result.validation.demand_consistent) {
-      DGR_LOG_WARN("pipeline: %s; resyncing live demand",
-                   result.validation.status.to_string().c_str());
-      ctx_->reset_demand();
-      ctx_->commit(result.solution);
-    }
-    if (!result.validation.broken_nets.empty()) {
-      post::MazeRefineOptions ropts = options_.refine;
-      ropts.via_beta = ctx_->via_beta();
-      result.stats.repaired_nets = repair_broken_nets(
-          *ctx_, result.solution, result.validation.broken_nets, ropts);
-      result.stats.add_counter("repaired_nets",
-                               static_cast<double>(result.stats.repaired_nets));
-      // Re-validate; nets that stayed broken are a typed failure the caller
-      // must see, not a silently wrong metrics row.
-      result.validation = validate_solution(*ctx_, result.solution);
+    if (const std::optional<std::int64_t> repaired =
+            run_validation_gate(*ctx_, result.solution, result.validation)) {
+      result.stats.repaired_nets = *repaired;
+      result.stats.add_counter("repaired_nets", static_cast<double>(*repaired));
+      // Nets that stayed broken after the repair are a typed failure the
+      // caller must see, not a silently wrong metrics row.
       if (!result.validation.broken_nets.empty()) {
         result.stats.status = result.validation.status;
       }

@@ -12,9 +12,10 @@
 ///   eval         shared metric computation (Tables 2-3 columns, Fig. 6
 ///                weighted overflow) against the context's capacities
 ///
-/// Re-entry: Pipeline::rerun() seeds the context's warm start from a prior
-/// solution and runs the route stage again, giving cross-router composition
-/// (any router -> "cugr2-lite" RRR) and pipeline-level rip-up-and-reroute.
+/// Re-entry: a warm start stored on the context
+/// (RoutingContext::set_warm_start) is what the route stage resumes from;
+/// Pipeline::run clears it, so a warm re-entry calls Router::route directly,
+/// as the degraded fallback below and ECO's delta route do.
 
 #include <string>
 
@@ -33,26 +34,22 @@ struct StagePlan {
   bool layer_assign = true;   ///< run DP layer assignment (3D metrics)
 };
 
-/// Route-stage fault tolerance: degraded fallback. When the route stage
-/// stops is the context's deadline (RoutingContext::set_deadline).
-struct StageBudgets {
-  /// Registry name to fall back to when the route stage fails with a
-  /// degradable status (timeout, divergence, resource exhaustion, internal
-  /// error, injected fault). Empty disables degradation: the typed error is
-  /// surfaced in stats.status instead. Non-degradable failures (caller
-  /// errors such as InvalidArgument or NotFound) always surface.
+struct PipelineOptions {
+  post::MazeRefineOptions refine;   ///< maze_refine stage parameters
+  post::LayerAssignOptions layers;  ///< layer_assign stage parameters
+  /// Route-stage degradation. Registry name to fall back to when the route
+  /// stage fails with a degradable status (timeout, divergence, resource
+  /// exhaustion, internal error, injected fault); when it stops is the
+  /// context's deadline (RoutingContext::set_deadline). Empty disables
+  /// degradation: the typed error is surfaced in stats.status instead.
+  /// Non-degradable failures (caller errors such as InvalidArgument or
+  /// NotFound) always surface.
   std::string fallback_router = "cugr2-lite";
   /// When false, kNumericDivergence surfaces in stats.status instead of
   /// degrading — for callers that own a retry-with-reseed loop (the serve
   /// daemon retries divergence with a fresh seed before degrading on its
   /// final attempt). All other degradable codes still degrade.
   bool degrade_on_divergence = true;
-};
-
-struct PipelineOptions {
-  post::MazeRefineOptions refine;   ///< maze_refine stage parameters
-  post::LayerAssignOptions layers;  ///< layer_assign stage parameters
-  StageBudgets budgets;             ///< route-stage degradation
   /// Post-route validation gate: per-net geometry/connectivity checks plus
   /// demand accounting against the live DemandMap; broken nets are repaired
   /// with a congestion-priced maze reroute before evaluation.
@@ -85,20 +82,10 @@ class Pipeline {
   PipelineResult run(const std::string& router_name, const RouterOptions& options = {},
                      const StagePlan& plan = {});
 
-  /// Warm re-entry: seeds the context's warm start (and live demand) from
-  /// `prior`, then runs `router`. Routers without warm-start support route
-  /// cold from the seeded demand state.
-  PipelineResult rerun(Router& router, eval::RouteSolution prior,
-                       const StagePlan& plan = {});
-  PipelineResult rerun(const std::string& router_name, eval::RouteSolution prior,
-                       const RouterOptions& options = {}, const StagePlan& plan = {});
-
   RoutingContext& context() { return *ctx_; }
   PipelineOptions& options() { return options_; }
 
  private:
-  PipelineResult run_stages(Router& router, const StagePlan& plan);
-
   RoutingContext* ctx_;
   PipelineOptions options_;
 };

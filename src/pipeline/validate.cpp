@@ -94,10 +94,8 @@ ValidationReport validate_solution(const RoutingContext& ctx,
 
 std::int64_t repair_broken_nets(RoutingContext& ctx, eval::RouteSolution& sol,
                                 const std::vector<std::size_t>& broken,
-                                const post::MazeRefineOptions& options) {
+                                const post::MazeRefineOptions& /*options*/) {
   const design::Design& design = ctx.design();
-  post::MazeRefineOptions opts = options;
-  opts.via_beta = ctx.via_beta();
 
   std::int64_t repaired = 0;
   for (const std::size_t slot : broken) {
@@ -105,8 +103,8 @@ std::int64_t repair_broken_nets(RoutingContext& ctx, eval::RouteSolution& sol,
     // Rip up the broken geometry so the reroute prices congestion without
     // the net's own (possibly bogus) contribution.
     ctx.commit(net, -1.0);
-    eval::NetRoute candidate = post::maze_reroute_net(
-        design, net.design_net, ctx.demand(), ctx.capacities(), opts);
+    eval::NetRoute candidate =
+        post::maze_reroute_net(design, net.design_net, ctx.demand(), ctx.capacities());
     if (!candidate.paths.empty() && net_geometry_legal(candidate, design.grid()) &&
         net_connected(design, candidate)) {
       net = std::move(candidate);
@@ -118,6 +116,22 @@ std::int64_t repair_broken_nets(RoutingContext& ctx, eval::RouteSolution& sol,
     // stays an exact account of the solution.
     ctx.commit(net, +1.0);
   }
+  return repaired;
+}
+
+std::optional<std::int64_t> run_validation_gate(RoutingContext& ctx,
+                                                eval::RouteSolution& sol,
+                                                ValidationReport& report) {
+  report = validate_solution(ctx, sol);
+  if (!report.demand_consistent) {
+    DGR_LOG_WARN("validation gate: %s; resyncing live demand",
+                 report.status.to_string().c_str());
+    ctx.reset_demand();
+    ctx.commit(sol);
+  }
+  if (report.broken_nets.empty()) return std::nullopt;
+  const std::int64_t repaired = repair_broken_nets(ctx, sol, report.broken_nets);
+  report = validate_solution(ctx, sol);
   return repaired;
 }
 

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "eval/solution.hpp"
@@ -44,9 +45,19 @@ ValidationReport validate_solution(const RoutingContext& ctx,
 /// congestion-priced maze reroute and returns how many were actually fixed.
 /// Expects the context's live demand to match `sol` on entry (resync first
 /// if the report said otherwise) and keeps it in sync throughout; nets whose
-/// reroute fails keep their old geometry.
+/// reroute fails keep their old geometry. The reroute prices with fixed
+/// weights, so `options` is not read.
 std::int64_t repair_broken_nets(RoutingContext& ctx, eval::RouteSolution& sol,
                                 const std::vector<std::size_t>& broken,
                                 const post::MazeRefineOptions& options = {});
+
+/// The validation gate every routed solution passes before evaluation:
+/// validate_solution(), a resync of the live demand when it drifted, and,
+/// when nets are broken, repair_broken_nets() and a second validation.
+/// `report` receives the last validation. Returns how many nets the repair
+/// rebuilt, or nullopt when no net was broken and no repair ran.
+std::optional<std::int64_t> run_validation_gate(RoutingContext& ctx,
+                                                eval::RouteSolution& sol,
+                                                ValidationReport& report);
 
 }  // namespace dgr::pipeline

@@ -17,6 +17,10 @@ using grid::EdgeId;
 
 namespace {
 
+/// Maze edge price per unit of overuse. It equals eval::kOverflowWeight only
+/// by choice: it steers the search, it does not score routes.
+constexpr double kCongestionPrice = 500.0;
+
 /// Marginal cost of one net's route against a demand map that *excludes*
 /// the net itself: weighted (overflow, wl, via) cost plus the number of
 /// edges this net pushes over capacity. Tracking the edge count separately
@@ -49,16 +53,16 @@ NetCost net_cost(const design::Design& design, const NetRoute& net, const Demand
     wl += p.length();
     bends += static_cast<std::int64_t>(p.bend_count());
   }
-  out.weighted = opt.overflow_weight * over + opt.wl_weight * static_cast<double>(wl) +
-                 opt.via_weight * via_scale * static_cast<double>(bends);
+  out.weighted = eval::kOverflowWeight * over +
+                 eval::kWirelengthWeight * static_cast<double>(wl) +
+                 eval::kViaWeight * via_scale * static_cast<double>(bends);
   return out;
 }
 
 }  // namespace
 
 NetRoute maze_reroute_net(const design::Design& design, std::size_t design_net,
-                          const DemandMap& others, const std::vector<float>& cap,
-                          const MazeRefineOptions& opt) {
+                          const DemandMap& others, const std::vector<float>& cap) {
   const auto& grid = design.grid();
   // Track this net's own usage so parallel sub-nets share edges for free.
   DemandMap mine(grid);
@@ -67,7 +71,7 @@ NetRoute maze_reroute_net(const design::Design& design, std::size_t design_net,
                      mine.raw()[static_cast<std::size_t>(e)];
     const double c = cap[static_cast<std::size_t>(e)];
     const double marginal = std::max(0.0, d + 1.0 - c) - std::max(0.0, d - c);
-    return opt.wl_weight + opt.congestion_price * marginal;
+    return eval::kWirelengthWeight + kCongestionPrice * marginal;
   };
   routers::MazeConnection mc = routers::maze_connect(
       grid, design.net(design_net).pins, price, [&](const dag::PatternPath& path) {
@@ -112,7 +116,7 @@ MazeRefineStats maze_refine(RouteSolution& sol, const std::vector<float>& capaci
       const NetCost old_cost =
           net_cost(design, sol.nets[i], demand, capacities, options, via_scale);
       NetRoute candidate =
-          maze_reroute_net(design, sol.nets[i].design_net, demand, capacities, options);
+          maze_reroute_net(design, sol.nets[i].design_net, demand, capacities);
       const NetCost new_cost =
           net_cost(design, candidate, demand, capacities, options, via_scale);
       ++stats.nets_rerouted;

@@ -11,10 +11,6 @@ namespace dgr::post {
 struct MazeRefineOptions {
   int max_rounds = 3;
   float via_beta = 0.5f;          ///< via demand model (matches optimisation)
-  double overflow_weight = 500.0; ///< acceptance cost weights (ICCAD'19)
-  double via_weight = 4.0;
-  double wl_weight = 0.5;
-  double congestion_price = 500.0;  ///< maze edge price per unit of overuse
 };
 
 struct MazeRefineStats {
@@ -38,7 +34,6 @@ MazeRefineStats maze_refine(eval::RouteSolution& sol,
 /// (callers must treat that as "net still broken", never commit it).
 eval::NetRoute maze_reroute_net(const design::Design& design, std::size_t design_net,
                                 const grid::DemandMap& others,
-                                const std::vector<float>& capacities,
-                                const MazeRefineOptions& options = {});
+                                const std::vector<float>& capacities);
 
 }  // namespace dgr::post

@@ -16,12 +16,21 @@ using eval::NetRoute;
 using eval::RouteSolution;
 using grid::EdgeId;
 
+namespace {
+
+/// Scale of the logistic congestion penalty. It equals eval::kOverflowWeight
+/// only by choice: it prices congestion, it does not score routes.
+constexpr double kCongestionWeight = 500.0;
+/// Steepness of the logistic congestion cost.
+constexpr double kLogisticSlope = 2.0;
+
+}  // namespace
+
 Cugr2Lite::Cugr2Lite(const design::Design& design, std::vector<float> capacities,
                      Cugr2LiteOptions options)
     : design_(design),
       capacities_(std::move(capacities)),
       options_(options),
-      builder_(options.rsmt),
       demand_(design.grid()) {
   via_cost_scale_ = std::sqrt(static_cast<double>(design.grid().layer_count()));
 }
@@ -31,9 +40,9 @@ double Cugr2Lite::edge_cost(EdgeId e) const {
   const double cap = capacities_[static_cast<std::size_t>(e)];
   // Logistic congestion cost as in CUGR/CUGR2's probabilistic model: cheap
   // while the edge has slack, ramping steeply as demand approaches capacity.
-  const double x = options_.logistic_slope * (d + 1.0 - cap);
+  const double x = kLogisticSlope * (d + 1.0 - cap);
   const double congestion = 1.0 / (1.0 + std::exp(-x));
-  return options_.wl_weight + options_.congestion_weight * congestion;
+  return eval::kWirelengthWeight + kCongestionWeight * congestion;
 }
 
 NetRoute Cugr2Lite::route_net(std::size_t design_net, bool allow_maze) {
@@ -51,7 +60,7 @@ NetRoute Cugr2Lite::route_net(std::size_t design_net, bool allow_maze) {
     double best_cost = std::numeric_limits<double>::infinity();
     const PatternPath* best = nullptr;
     for (const PatternPath& cand : candidates) {
-      double cost = options_.via_weight * via_cost_scale_ *
+      double cost = eval::kViaWeight * via_cost_scale_ *
                     static_cast<double>(cand.bend_count());
       for (const EdgeId e : cand.edges(grid)) cost += edge_cost(e);
       if (cost < best_cost) {
@@ -69,7 +78,7 @@ NetRoute Cugr2Lite::route_net(std::size_t design_net, bool allow_maze) {
       if (mz.found) {
         const PatternPath maze_path = compress_cells(mz.cells);
         const double maze_cost =
-            mz.cost + options_.via_weight * via_cost_scale_ *
+            mz.cost + eval::kViaWeight * via_cost_scale_ *
                           static_cast<double>(maze_path.bend_count());
         if (maze_cost < best_cost) chosen = maze_path;
       }

@@ -21,13 +21,8 @@ namespace dgr::routers {
 struct Cugr2LiteOptions {
   int rrr_rounds = 5;            ///< rip-up & reroute iterations
   float via_beta = 0.5f;         ///< via demand charge (matches Eq. 2)
-  double wl_weight = 0.5;        ///< unit wire cost
-  double via_weight = 4.0;       ///< per-bend cost (scaled by sqrt(L))
-  double congestion_weight = 500.0;  ///< logistic congestion penalty scale
-  double logistic_slope = 2.0;   ///< steepness of the congestion cost
   dag::PathEnumOptions paths;    ///< L-only by default, Z optional
   bool maze_fallback = true;     ///< maze-reroute stubborn nets in last rounds
-  rsmt::RsmtOptions rsmt;
   /// Polled between RRR rounds; the initial pass always completes so the
   /// returned solution is whole. On expiry `timed_out` is set and the best
   /// snapshot is returned.

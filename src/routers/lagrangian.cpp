@@ -18,11 +18,21 @@ using eval::RouteSolution;
 using geom::Point;
 using grid::EdgeId;
 
+namespace {
+
+/// Initial subgradient step; round k steps by kStep0 / sqrt(k + 1).
+constexpr double kStep0 = 1.0;
+/// Repair maze price per unit of overuse. It equals eval::kOverflowWeight
+/// only by choice: it steers the search, it does not score routes.
+constexpr double kRepairCongestionPrice = 500.0;
+
+}  // namespace
+
 RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
   util::Timer timer;
   const auto& grid = design_.grid();
   const auto& routable = design_.routable_nets();
-  rsmt::RsmtBuilder builder(options_.rsmt);
+  const rsmt::RsmtBuilder builder;
 
   // Fixed tree decomposition; the Lagrangian iteration re-prices paths only.
   struct SubnetRef {
@@ -50,7 +60,7 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
 
   bool timed_out = false;
   int round = 0;
-  double step = options_.step0;
+  double step = kStep0;
   for (; round < options_.rounds; ++round) {
     if (round > 0 && options_.deadline.expired()) {
       timed_out = true;
@@ -71,7 +81,7 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
           chosen = cand;
         }
       }
-      if (options_.maze_paths && round > 0) {
+      if (round > 0) {
         // Once prices exist, allow free-form detours (the pathfinding model).
         const MazeResult mz = maze_route(grid, {ref.a}, ref.b, priced_cost);
         if (mz.found && mz.cost < chosen_cost - 1e-9) chosen = compress_cells(mz.cells);
@@ -99,7 +109,7 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
     if (over == 0 && round > 0) break;  // feasible and prices settled
 
     // 3. Projected subgradient step on the multipliers.
-    step = options_.step0 / std::sqrt(static_cast<double>(round + 1));
+    step = kStep0 / std::sqrt(static_cast<double>(round + 1));
     for (std::size_t e = 0; e < lambda.size(); ++e) {
       const double g = demand.demand(static_cast<EdgeId>(e)) -
                        static_cast<double>(capacities_[e]);
@@ -141,7 +151,7 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
           std::int64_t over_edges = 0;
           grid::DemandMap mine(grid);
           for (const PatternPath& p : paths) {
-            c += 0.5 * static_cast<double>(p.length());
+            c += eval::kWirelengthWeight * static_cast<double>(p.length());
             for (const EdgeId e : p.edges(grid)) mine.add(e, 1.0);
           }
           for (EdgeId e = 0; e < grid.edge_count(); ++e) {
@@ -149,7 +159,8 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
             if (w <= 0.0) continue;
             const double d = dm.demand(e);
             const double cap = capacities_[static_cast<std::size_t>(e)];
-            c += 500.0 * (std::max(0.0, d + w - cap) - std::max(0.0, d - cap));
+            c += eval::kOverflowWeight *
+                 (std::max(0.0, d + w - cap) - std::max(0.0, d - cap));
             if (d + w > cap + 1e-6) ++over_edges;
           }
           return std::pair(c, over_edges);
@@ -160,8 +171,8 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
           auto price = [&](EdgeId e) {
             const double d = dm.demand(e) + mine.demand(e);
             const double cap = capacities_[static_cast<std::size_t>(e)];
-            return 1.0 +
-                   500.0 * (std::max(0.0, d + 1.0 - cap) - std::max(0.0, d - cap));
+            return 1.0 + kRepairCongestionPrice *
+                             (std::max(0.0, d + 1.0 - cap) - std::max(0.0, d - cap));
           };
           const MazeResult mz =
               maze_route(grid, {p.waypoints.front()}, p.waypoints.back(), price);

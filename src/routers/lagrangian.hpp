@@ -6,8 +6,10 @@
 // each round routes every 2-pin sub-net independently at minimum priced cost
 // (wire + λ), then performs a projected subgradient step
 //   λ_e <- max(0, λ_e + step * (d_e - cap_e))
-// with a diminishing step size. The best primal solution seen (fewest
-// overflowed edges, then wirelength) is kept.
+// with a diminishing step size 1/sqrt(k). From round 1 on, a maze search
+// under the same prices may replace a sub-net's L/Z path with a detour. The
+// best primal solution seen (fewest overflowed edges, then wirelength) is
+// kept.
 
 #include "dag/path.hpp"
 #include "design/design.hpp"
@@ -20,11 +22,8 @@ namespace dgr::routers {
 struct LagrangianOptions {
   int rounds = 30;            ///< subgradient iterations
   int repair_rounds = 8;      ///< final primal repair passes (see route())
-  double step0 = 1.0;         ///< initial step size (decays as step0/sqrt(k))
   float via_beta = 0.5f;      ///< via demand charge for the shared metric
-  bool maze_paths = true;     ///< price paths by maze search (else L/Z only)
   dag::PathEnumOptions paths;
-  rsmt::RsmtOptions rsmt;
   /// Polled before every subgradient round after the first and before every
   /// repair pass; round 0 always completes so the returned solution is
   /// whole. On expiry `timed_out` is set and the best solution is returned.

@@ -12,6 +12,15 @@ namespace dgr::routers {
 using eval::RouteSolution;
 using grid::EdgeId;
 
+namespace {
+
+constexpr double kPresentFactor = 8.0;  ///< penalty per unit of present overuse
+constexpr double kHistoryStep = 1.0;    ///< history increment on overflowed edges
+constexpr double kHistoryFactor = 2.0;  ///< history multiplier in the cost
+constexpr double kSoftCapacity = 0.9;   ///< fraction of cap where cost starts rising
+
+}  // namespace
+
 SpRouteLite::SpRouteLite(const design::Design& design, std::vector<float> capacities,
                          SpRouteLiteOptions options)
     : design_(design),
@@ -23,12 +32,12 @@ SpRouteLite::SpRouteLite(const design::Design& design, std::vector<float> capaci
 double SpRouteLite::edge_cost(EdgeId e) const {
   const double d = demand_.demand(e);
   const double cap = capacities_[static_cast<std::size_t>(e)];
-  // Soft capacity: overuse is measured against soft_capacity * cap, so the
+  // Soft capacity: overuse is measured against kSoftCapacity * cap, so the
   // router starts avoiding an edge before it is actually full.
-  const double soft_cap = options_.soft_capacity * cap;
+  const double soft_cap = kSoftCapacity * cap;
   const double overuse = std::max(0.0, d + 1.0 - soft_cap);
-  const double present = options_.present_factor * overuse;
-  const double hist = options_.history_factor * history_[static_cast<std::size_t>(e)];
+  const double present = kPresentFactor * overuse;
+  const double hist = kHistoryFactor * history_[static_cast<std::size_t>(e)];
   return 1.0 + present * (1.0 + hist);
 }
 
@@ -77,7 +86,7 @@ RouteSolution SpRouteLite::route(SpRouteLiteStats* stats, const RouteSolution* w
     bool any = false;
     for (std::size_t e = 0; e < history_.size(); ++e) {
       if (demand_.demand(static_cast<EdgeId>(e)) > capacities_[e] + 1e-6) {
-        history_[e] += options_.history_step;
+        history_[e] += kHistoryStep;
         any = true;
       }
     }

@@ -18,10 +18,6 @@ namespace dgr::routers {
 struct SpRouteLiteOptions {
   int max_rounds = 8;           ///< negotiation iterations
   float via_beta = 0.5f;        ///< via demand charge for the shared metric
-  double present_factor = 8.0;  ///< penalty per unit of present overuse
-  double history_step = 1.0;    ///< history increment on overflowed edges
-  double history_factor = 2.0;  ///< history multiplier in the cost
-  double soft_capacity = 0.9;   ///< fraction of cap where cost starts rising
   /// Polled between negotiation rounds; the initial pass always completes
   /// so the returned solution is whole. On expiry `timed_out` is set.
   util::Deadline deadline;

@@ -12,12 +12,12 @@ namespace dgr::rsmt {
 
 SteinerTree RsmtBuilder::build_small(const std::vector<Point>& pins) const {
   if (pins.size() <= kExactRsmtMaxPins) return exact_rsmt(pins);
-  return iterated_one_steiner(pins, opts_.one_steiner);
+  return iterated_one_steiner(pins);
 }
 
 SteinerTree RsmtBuilder::build(const std::vector<Point>& raw_pins) const {
   std::vector<Point> pins = geom::dedupe_points(raw_pins);
-  if (pins.size() <= opts_.partition_threshold) {
+  if (pins.size() <= kOneSteinerMaxPins) {
     SteinerTree t = build_small(pins);
     // build_small may reorder pins (exact/1-Steiner keep input order; assert).
     assert(t.pin_count == pins.size());
@@ -53,7 +53,7 @@ SteinerTree RsmtBuilder::build(const std::vector<Point>& raw_pins) const {
   while (!stack.empty()) {
     std::vector<Point> group = std::move(stack.back());
     stack.pop_back();
-    if (group.size() <= opts_.partition_threshold) {
+    if (group.size() <= kOneSteinerMaxPins) {
       SteinerTree sub = build_small(group);
       // Graft sub's edges into the merged tree, creating Steiner nodes as
       // needed. Coincident points across subtrees unify automatically.

@@ -2,7 +2,7 @@
 // FLUTE-equivalent RSMT builder: dispatches by pin count.
 //
 //   n <= kExactRsmtMaxPins   -> exact Hanan enumeration
-//   n <= partition_threshold -> iterated 1-Steiner
+//   n <= kOneSteinerMaxPins  -> iterated 1-Steiner
 //   larger                   -> recursive median bisection; the two halves
 //                               share the median pin, so subtrees join into
 //                               one tree (FLUTE's own net-breaking strategy
@@ -16,25 +16,16 @@
 
 namespace dgr::rsmt {
 
-struct RsmtOptions {
-  std::size_t partition_threshold = 16;  ///< max pins handled by 1-Steiner
-  OneSteinerOptions one_steiner;
-
-  bool operator==(const RsmtOptions&) const = default;
-};
+/// Largest group of pins the builder hands to iterated 1-Steiner whole.
+inline constexpr std::size_t kOneSteinerMaxPins = 16;
 
 class RsmtBuilder {
  public:
-  RsmtBuilder() = default;
-  explicit RsmtBuilder(RsmtOptions opts) : opts_(opts) {}
-
   /// Builds a rectilinear Steiner tree over the pins (duplicates tolerated).
   SteinerTree build(const std::vector<Point>& pins) const;
 
  private:
   SteinerTree build_small(const std::vector<Point>& pins) const;
-
-  RsmtOptions opts_;
 };
 
 }  // namespace dgr::rsmt

@@ -5,8 +5,17 @@
 
 namespace dgr::rsmt {
 
-SteinerTree iterated_one_steiner(const std::vector<Point>& pins,
-                                 const OneSteinerOptions& opts) {
+namespace {
+
+/// Hard cap on the Hanan candidates scanned per round; candidates are
+/// subsampled deterministically when the grid is larger.
+constexpr std::size_t kMaxCandidates = 512;
+/// Cap on added Steiner points (n-2 is the theoretical maximum).
+constexpr std::size_t kMaxSteinerPoints = 64;
+
+}  // namespace
+
+SteinerTree iterated_one_steiner(const std::vector<Point>& pins) {
   if (pins.size() <= 2) return manhattan_mst(pins);
 
   // Working point set: pins plus accepted Steiner points.
@@ -19,19 +28,19 @@ SteinerTree iterated_one_steiner(const std::vector<Point>& pins,
   for (std::size_t i = 0; i < hanan.size(); ++i) candidates.push_back(hanan.point(i));
   // Deterministic subsample if the Hanan grid is very large: keep a strided
   // selection, which spreads candidates evenly over the grid.
-  if (opts.max_candidates != 0 && candidates.size() > opts.max_candidates) {
+  if (candidates.size() > kMaxCandidates) {
     std::vector<Point> sampled;
-    sampled.reserve(opts.max_candidates);
+    sampled.reserve(kMaxCandidates);
     const double stride =
-        static_cast<double>(candidates.size()) / static_cast<double>(opts.max_candidates);
-    for (std::size_t k = 0; k < opts.max_candidates; ++k) {
+        static_cast<double>(candidates.size()) / static_cast<double>(kMaxCandidates);
+    for (std::size_t k = 0; k < kMaxCandidates; ++k) {
       sampled.push_back(candidates[static_cast<std::size_t>(k * stride)]);
     }
     candidates = std::move(sampled);
   }
 
   std::size_t added = 0;
-  const std::size_t budget = std::min(opts.max_steiner_points, pins.size() - 2);
+  const std::size_t budget = std::min(kMaxSteinerPoints, pins.size() - 2);
   while (added < budget) {
     std::int64_t best_len = current_len;
     std::size_t best_idx = candidates.size();

@@ -10,17 +10,6 @@
 
 namespace dgr::rsmt {
 
-struct OneSteinerOptions {
-  /// Hard cap on the Hanan candidates scanned per round; candidates are
-  /// subsampled deterministically when the grid is larger. 0 = no cap.
-  std::size_t max_candidates = 512;
-  /// Cap on added Steiner points (n-2 is the theoretical maximum).
-  std::size_t max_steiner_points = 64;
-
-  bool operator==(const OneSteinerOptions&) const = default;
-};
-
-SteinerTree iterated_one_steiner(const std::vector<Point>& pins,
-                                 const OneSteinerOptions& opts = {});
+SteinerTree iterated_one_steiner(const std::vector<Point>& pins);
 
 }  // namespace dgr::rsmt

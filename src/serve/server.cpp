@@ -542,10 +542,10 @@ Response Server::handle_route(Job& job) {
     }
 
     pipeline::PipelineOptions popts;
-    popts.budgets.fallback_router = fallback;
+    popts.fallback_router = fallback;
     // Retry policy: non-final attempts surface divergence for the reseeded
     // retry; the final attempt degrades exactly as the pipeline does.
-    popts.budgets.degrade_on_divergence = final_attempt;
+    popts.degrade_on_divergence = final_attempt;
     if (job.deadline.expired()) {
       return error_response(req.id, op_name(req.op),
                             Status(StatusCode::kStageTimeout,

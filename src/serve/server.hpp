@@ -29,7 +29,7 @@
 ///
 /// Retry policy ("route"): a kNumericDivergence from the primary router is
 /// retried with a reseeded solver (seed + attempt * golden-ratio) while
-/// attempts remain — StageBudgets::degrade_on_divergence is false for
+/// attempts remain — PipelineOptions::degrade_on_divergence is false for
 /// non-final attempts so the divergence surfaces instead of degrading. The
 /// final attempt restores the PR 3 contract: divergence (and timeouts,
 /// resource exhaustion, injected faults) degrade to the fallback router.

@@ -16,7 +16,7 @@ struct SiteState {
   std::uint64_t hits = 0;
   std::uint64_t fires = 0;
   // Index into the armed plan's faults, or -1 when the plan doesn't cover
-  // this site (still counted so sites_hit() reports coverage).
+  // this site (still counted so hits() reports coverage).
   int spec = -1;
 };
 
@@ -152,17 +152,6 @@ std::uint64_t fires(std::string_view site) {
   std::lock_guard<std::mutex> lock(r.mu);
   const auto it = r.sites.find(site);
   return it == r.sites.end() ? 0 : it->second.fires;
-}
-
-std::vector<std::string> sites_hit() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  std::vector<std::string> out;
-  out.reserve(r.sites.size());
-  for (const auto& [site, state] : r.sites) {
-    if (state.hits > 0) out.push_back(site);
-  }
-  return out;  // std::map iteration is already sorted
 }
 
 }  // namespace dgr::util::fault

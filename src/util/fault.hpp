@@ -59,8 +59,6 @@ bool should_fire(std::string_view site);
 /// Sites are tracked once hit, whether or not the plan covers them.
 std::uint64_t hits(std::string_view site);
 std::uint64_t fires(std::string_view site);
-/// Every site hit since the last arm(), sorted.
-std::vector<std::string> sites_hit();
 
 /// RAII arm/disarm for tests.
 class ScopedPlan {

@@ -219,7 +219,7 @@ TEST(Adam, MinimisesQuadratic) {
   // f(x) = sum (x - target)^2, gradient 2(x - target).
   const std::vector<double> target{3.0, -1.0, 0.5};
   std::vector<float> x{0.0f, 0.0f, 0.0f};
-  Adam adam(3, {0.1, 0.9, 0.999, 1e-8});
+  Adam adam(3, 0.1);
   for (int it = 0; it < 500; ++it) {
     std::vector<double> g(3);
     for (std::size_t i = 0; i < 3; ++i) g[i] = 2.0 * (x[i] - target[i]);
@@ -231,7 +231,7 @@ TEST(Adam, MinimisesQuadratic) {
 
 TEST(Adam, StepSizeBoundedByLearningRate) {
   std::vector<float> x{0.0f};
-  Adam adam(1, {0.3, 0.9, 0.999, 1e-8});
+  Adam adam(1, 0.3);
   adam.step(x, {1000.0});
   // Adam's first step magnitude is ~lr regardless of gradient scale.
   EXPECT_NEAR(std::abs(x[0]), 0.3, 0.05);

@@ -326,7 +326,7 @@ TEST(Chaos, StageFaultWithoutFallbackSurfacesTypedStatus) {
   const design::Design d = chaos_design();
   pipeline::RoutingContext ctx(d);
   pipeline::PipelineOptions popts;
-  popts.budgets.fallback_router.clear();  // degradation disabled
+  popts.fallback_router.clear();  // degradation disabled
   pipeline::Pipeline pipe(ctx, popts);
   ScopedPlan chaos(FaultPlan{3, {{"pipeline.stage", 1.0, 1}}});
   const pipeline::PipelineResult result = pipe.run("dgr", fast_options());

@@ -530,7 +530,7 @@ TEST(DgrSolver, InertLogitSkipMatchesDenseReferenceLoop) {
     const std::size_t np = solver.path_logit_count();
     const std::size_t nt = solver.tree_logit_count();
     std::vector<float> params = solver.logits();
-    ad::Adam adam(params.size(), ad::AdamConfig{config.learning_rate, 0.9, 0.999, 1e-8});
+    ad::Adam adam(params.size(), config.learning_rate);
     const util::Rng seed_rng(config.seed);
     std::vector<float> path_noise(np);
     std::vector<float> tree_noise(nt);

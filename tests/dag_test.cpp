@@ -350,8 +350,6 @@ TEST(DagForest, AdaptiveExpansionTargetsCongestedSubnets) {
   plain.tree.congestion_shifted = false;
   ForestOptions adaptive = plain;
   adaptive.adaptive_expansion = true;
-  adaptive.adaptive_threshold = 0.8f;
-  adaptive.adaptive_z_samples = 3;
 
   const DagForest fp = DagForest::build(d, plain);
   const DagForest fa = DagForest::build(d, adaptive);

@@ -68,7 +68,7 @@ TEST(Design, LocalNetDensityOnlyCountsLocalNets) {
 
 TEST(Design, CapacitiesReflectEquationOne) {
   const Design d = tiny_design();
-  const auto cap = d.capacities(0.5f);
+  const auto cap = d.capacities();
   ASSERT_EQ(cap.size(), static_cast<std::size_t>(d.grid().edge_count()));
   // Base capacity 2 tracks/layer * 2 same-direction layers = 4; pins and the
   // local net reduce some edges below that.
@@ -224,7 +224,7 @@ TEST(DesignIo, RoundTripPreservesEverything) {
   const Design d = tiny_design();
   std::stringstream ss;
   write_design(ss, d);
-  const Design r = read_design(ss);
+  const Design r = try_read_design(ss).take();
   EXPECT_EQ(r.name(), d.name());
   EXPECT_EQ(r.grid().width(), d.grid().width());
   EXPECT_EQ(r.grid().height(), d.grid().height());
@@ -248,7 +248,7 @@ TEST(DesignIo, GeneratedDesignRoundTrips) {
   const Design d = generate_ispd_like(p, 3);
   std::stringstream ss;
   write_design(ss, d);
-  const Design r = read_design(ss);
+  const Design r = try_read_design(ss).take();
   EXPECT_EQ(r.net_count(), d.net_count());
   EXPECT_EQ(r.routable_nets(), d.routable_nets());
 }
@@ -257,33 +257,31 @@ TEST(DesignIo, SkipsCommentsAndBlankLines) {
   std::stringstream ss;
   ss << "# a comment\n\ndgrd 1\ndesign t\n# mid comment\ngrid 2 2 1\nlayer H 1\n"
         "nets 1\nnet n0 2 0 0 1 1\nend\n";
-  const Design d = read_design(ss);
+  const Design d = try_read_design(ss).take();
   EXPECT_EQ(d.net_count(), 1u);
 }
 
 TEST(DesignIo, RejectsBadHeader) {
   std::stringstream ss("dgrx 1\n");
-  EXPECT_THROW(read_design(ss), std::runtime_error);
+  EXPECT_EQ(try_read_design(ss).status().code(), StatusCode::kParseError);
 }
 
 TEST(DesignIo, RejectsTruncatedNetLine) {
   std::stringstream ss("dgrd 1\ndesign t\ngrid 2 2 1\nlayer H 1\nnets 1\nnet n0 2 0 0\nend\n");
-  EXPECT_THROW(read_design(ss), std::runtime_error);
+  EXPECT_EQ(try_read_design(ss).status().code(), StatusCode::kParseError);
 }
 
 TEST(DesignIo, RejectsBadLayerDirection) {
   std::stringstream ss("dgrd 1\ndesign t\ngrid 2 2 1\nlayer X 1\nnets 0\nend\n");
-  EXPECT_THROW(read_design(ss), std::runtime_error);
+  EXPECT_EQ(try_read_design(ss).status().code(), StatusCode::kParseError);
 }
 
 TEST(DesignIo, ErrorMentionsLineNumber) {
   std::stringstream ss("dgrd 1\ndesign t\ngrid 0 2 1\n");
-  try {
-    read_design(ss);
-    FAIL() << "expected parse error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
-  }
+  const Result<Design> r = try_read_design(ss);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find("line 3"), std::string::npos);
 }
 
 // ---- hardened parser: typed Status instead of ad-hoc throws ----------------
@@ -366,14 +364,11 @@ TEST(DesignIo, MissingFileIsNotFound) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
-TEST(DesignIo, ThrowingWrapperCarriesStatusText) {
+TEST(DesignIo, StatusTextCarriesParseErrorCode) {
   std::stringstream ss("dgrd 1\ndesign t\ngrid 2 2 1\nlayer H 1\nnets -1\nend\n");
-  try {
-    read_design(ss);
-    FAIL() << "expected parse error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("PARSE_ERROR"), std::string::npos);
-  }
+  const Result<Design> r = try_read_design(ss);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().to_string().find("PARSE_ERROR"), std::string::npos);
 }
 
 }  // namespace

@@ -269,6 +269,24 @@ TEST(EcoEngine, LegalityClosurePullsOnlyBlockedNets) {
   EXPECT_TRUE(result.validation.status.ok()) << result.validation.status.message();
 }
 
+TEST(EcoEngine, DeltaRouteWarmStartsFromUnchangedNets) {
+  EcoOptions opts = eco_options("cugr2-lite");
+  opts.full_reroute_threshold = 1.0;  // force the delta path (2 nets total)
+  EcoEngine engine(two_corridor_state(), opts);
+  ASSERT_TRUE(engine.route_full().ok());
+
+  Mutation m;
+  m.kind = MutationKind::kAddBlockage;
+  m.blockage = design::Blockage{geom::Rect{{0, 0}, {11, 3}}, 0.0f};
+  Result<EcoResult> r = engine.apply(m);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  // A blockage moves no pin, so "low", the one closure net, hands its
+  // previous route to the delta router as a warm start.
+  EXPECT_EQ(r.value().stats.closure_dirty, 1u);
+  EXPECT_FALSE(r.value().stats.full_reroute);
+  EXPECT_EQ(r.value().router_stats.counter("warm_started"), 1.0);
+}
+
 TEST(EcoEngine, OpportunityClosureReclaimsFreedRegion) {
   DesignState state = two_corridor_state();
   Mutation blk;

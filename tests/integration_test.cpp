@@ -176,7 +176,7 @@ TEST(Integration, SavedDesignReproducesRoutingRun) {
   const design::Design d = design::generate_ispd_like(p, 13);
   std::stringstream ss;
   design::write_design(ss, d);
-  const design::Design r = design::read_design(ss);
+  const design::Design r = design::try_read_design(ss).take();
 
   auto run = [](const design::Design& dd) {
     pipeline::RoutingContext ctx(dd);

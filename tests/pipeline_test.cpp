@@ -117,7 +117,7 @@ TEST(RoutingContext, ForestIsCachedPerOptions) {
   EXPECT_GT(c.paths().size(), base_paths);
   // A nested field is part of the key too: the cache rebuilds on it.
   dag::ForestOptions nested = other;
-  nested.tree.rsmt.one_steiner.max_candidates = 64;
+  nested.tree.trunk_topology = true;
   EXPECT_FALSE(ctx.has_forest(nested));
   ctx.forest(nested);
   EXPECT_TRUE(ctx.has_forest(nested));
@@ -330,12 +330,14 @@ TEST(WarmStart, Cugr2RrrReentryNeverWorsensOverflowEdges) {
   Pipeline pipe(ctx);
 
   const PipelineResult prior = pipe.run("sproute-lite");
-  const PipelineResult warm = pipe.rerun("cugr2-lite", prior.solution);
-  EXPECT_TRUE(warm.solution.connects_all_pins());
-  EXPECT_EQ(warm.stats.counter("warm_started"), 1.0);
+  ctx.set_warm_start(prior.solution);
+  const std::unique_ptr<Router> cugr2 = make_router("cugr2-lite");
+  const eval::RouteSolution warm = cugr2->route(ctx);
+  EXPECT_TRUE(warm.connects_all_pins());
+  EXPECT_EQ(cugr2->stats().counter("warm_started"), 1.0);
   // Cugr2Lite keeps its best-seen snapshot, which includes the warm-start
   // state itself, so the RRR re-entry cannot regress the edge count.
-  EXPECT_LE(warm.metrics.overflow_edges, prior.metrics.overflow_edges);
+  EXPECT_LE(ctx.evaluate(warm).overflow_edges, prior.metrics.overflow_edges);
 }
 
 TEST(WarmStart, ColdRunClearsPreviousWarmState) {
@@ -349,7 +351,7 @@ TEST(WarmStart, ColdRunClearsPreviousWarmState) {
 }
 
 // ---------------------------------------------------------------------------
-// Typed failure paths, stage budgets, degradation
+// Typed failure paths, deadlines, degradation
 // ---------------------------------------------------------------------------
 
 TEST(Pipeline, UnknownRouterNameReportsNotFoundStatus) {
@@ -380,7 +382,7 @@ TEST(Pipeline, NonDegradableStatusSurfacesInvalidArgumentNotFallback) {
   const design::Design d = small_design();
   RoutingContext ctx(d);
   Pipeline pipe(ctx);
-  ASSERT_FALSE(pipe.options().budgets.fallback_router.empty());
+  ASSERT_FALSE(pipe.options().fallback_router.empty());
   InvalidArgumentRouter router;
   const PipelineResult r = pipe.run(router);
   EXPECT_EQ(r.stats.status.code(), StatusCode::kInvalidArgument);
@@ -418,7 +420,7 @@ TEST(StageBudget, DisabledFallbackSurfacesStageTimeout) {
   RoutingContext ctx(d);
   ctx.set_deadline(expired_deadline());
   PipelineOptions popts;
-  popts.budgets.fallback_router.clear();
+  popts.fallback_router.clear();
   Pipeline pipe(ctx, popts);
   const PipelineResult r = pipe.run("dgr", fast_options());
   EXPECT_EQ(r.stats.status.code(), StatusCode::kStageTimeout);
@@ -505,19 +507,31 @@ TEST(ValidationGate, RepairsDeliberatelyBrokenNet) {
   util::set_log_level(util::LogLevel::kWarn);
 }
 
-TEST(ValidationGate, BrokenWarmStartIsRepairedInsidePipelineRun) {
+/// A router that routes with sproute-lite, then guts its first net's
+/// geometry while the live demand still counts it.
+class GuttingRouter : public Router {
+ public:
+  std::string_view name() const override { return "gutting"; }
+  eval::RouteSolution route(RoutingContext& ctx) override {
+    reset_stats();
+    eval::RouteSolution sol = inner_->route(ctx);
+    if (!sol.nets.empty()) sol.nets[0].paths.clear();
+    return sol;
+  }
+
+ private:
+  std::unique_ptr<Router> inner_ = make_router("sproute-lite");
+};
+
+TEST(ValidationGate, BrokenRouteIsRepairedInsidePipelineRun) {
   util::set_log_level(util::LogLevel::kError);
   const design::Design d = small_design();
   RoutingContext ctx(d);
   Pipeline pipe(ctx);
-  // sproute-lite adopts warm-start routes verbatim for nets it does not rip
-  // up; feeding it a solution with one gutted net exercises the in-pipeline
-  // gate end to end.
-  const PipelineResult prior = pipe.run("sproute-lite");
-  eval::RouteSolution broken = prior.solution;
-  ASSERT_FALSE(broken.nets.empty());
-  broken.nets[0].paths.clear();
-  const PipelineResult repaired = pipe.rerun("sproute-lite", std::move(broken));
+  GuttingRouter router;
+  const PipelineResult repaired = pipe.run(router);
+  ASSERT_FALSE(repaired.solution.nets.empty());
+  EXPECT_EQ(repaired.stats.repaired_nets, 1);
   EXPECT_TRUE(repaired.stats.status.ok()) << repaired.stats.status.to_string();
   EXPECT_TRUE(repaired.solution.connects_all_pins());
   EXPECT_TRUE(repaired.validation.status.ok());
