@@ -4,8 +4,9 @@
 /// ICCAD'19 metric weights (500 / 4 / 0.5), sigmoid overflow activation,
 /// Adam lr 0.3, 1000 iterations, initial temperature 1 scaled by 0.9 every
 /// 100 iterations, Gumbel noise on, top-p extraction. One addition: training
-/// stops early once its best extraction is overflow-free and has stopped
-/// improving (patience_checks; 0 restores the fixed schedule).
+/// stops early once its best extraction is clean (overflow-free, or cleared
+/// by maze refine) and has stopped improving (patience_checks; 0 restores
+/// the fixed schedule).
 
 #include <cstdint>
 
@@ -36,16 +37,17 @@ struct DgrConfig {
 
   /// Plateau stop (DESIGN.md §5.3). Every 50 kept iterations train()
   /// extracts, scores the routes with eval::reroute_score and keeps the
-  /// best-scoring logits. Once that best extraction has no overflowed edge
+  /// best-scoring logits. A best is clean when its extraction has no
+  /// overflowed edge, or at most 2 that post::maze_refine (run once on a
+  /// copy, as the flow's refine stage would) clears. Once the best is clean
   /// and this many checks in a row have not beaten it, training stops and
-  /// extract() returns the best check. While the best extraction overflows,
-  /// the gap between checks doubles (50, 150, 350, 750) and the schedule
-  /// runs to its end with its final logits. 0 runs the paper's fixed
-  /// schedule with no checks. The default stops a clean design no earlier
-  /// than iteration 350: a design that keeps an overflowed edge runs all
-  /// 1000, and a shorter patience lets a batch's run time swing with how
-  /// many such designs it holds.
-  int patience_checks = 6;
+  /// extract() returns the best check. While the best is not clean, the gap
+  /// between checks doubles (50, 150, 350, 750) and the schedule runs to its
+  /// end with its final logits. 0 runs the paper's fixed schedule with no
+  /// checks. The default stops a clean design no earlier than iteration
+  /// 200. A caller that runs no maze refine gets the best check's routes
+  /// as extracted, which may keep those 1–2 overflowed edges.
+  int patience_checks = 3;
 
   std::uint64_t seed = 1;
 

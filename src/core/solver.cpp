@@ -9,6 +9,7 @@
 #include "eval/metrics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "post/maze_refine.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -16,12 +17,28 @@
 namespace dgr::core {
 namespace {
 
-/// Kept iterations between plateau checks while the best check is
-/// overflow-free; the first check comes after this many.
+/// Kept iterations between plateau checks while the best check is clean;
+/// the first check comes after this many.
 constexpr int kCheckInterval = 50;
+
+/// A best check whose extraction overflows on at most this many edges is
+/// clean if the flow's maze refine clears them (DESIGN.md §5.3). A
+/// congested design overflows on hundreds, so it never pays for a refine.
+constexpr std::int64_t kRefineEdgeLimit = 2;
 
 /// Standard deviation of the random logit initialisation.
 constexpr float kInitLogitStd = 0.5f;
+
+/// Runs the pipeline's maze refine stage (default options, the forest's via
+/// model) on `sol` in place and says whether it leaves no overflowed edge.
+bool refine_clears(eval::RouteSolution& sol, const std::vector<float>& capacities,
+                   float via_beta) {
+  DGR_TRACE_SCOPE("core.refine_check");
+  post::MazeRefineOptions options;
+  options.via_beta = via_beta;
+  post::maze_refine(sol, capacities, options);
+  return sol.demand(via_beta).overflowed_edge_count(capacities) == 0;
+}
 
 }  // namespace
 
@@ -193,8 +210,10 @@ TrainStats DgrSolver::train() {
   // not the rollback checkpoint above, which holds the lowest noisy training
   // cost for a replay to resume from.
   const int patience = config_.patience_checks;
+  const float via_beta = forest_.options().via_demand_beta;
   std::vector<float> check_params;
   eval::RerouteScore check_best{};
+  bool check_clean = false;  // the best check's verdict, kept with its snapshot
   int check_misses = 0;
   // 64-bit: the doubling gap must not overflow on a huge iteration count.
   std::int64_t check_gap = kCheckInterval;
@@ -273,27 +292,37 @@ TrainStats DgrSolver::train() {
     if (it == next_check && it < iterations) {
       DGR_TRACE_SCOPE("core.check");
       ++stats.checks;
-      const eval::RouteSolution sol = extract();
-      const eval::RerouteScore score = eval::reroute_score(
-          sol, sol.demand(forest_.options().via_demand_beta), capacities_);
+      eval::RouteSolution sol = extract();
+      const eval::RerouteScore score =
+          eval::reroute_score(sol, sol.demand(via_beta), capacities_);
       if (stats.best_check_iteration < 0 || score < check_best) {
         check_best = score;
         check_params = params_;
         stats.best_check_iteration = it;
         check_misses = 0;
+        // A new best is clean when it has no overflowed edge, or a few that
+        // maze refine clears on a copy (this extraction is one). Refine
+        // runs once per new best; its verdict stays with the snapshot.
+        const std::int64_t overflowed = std::get<0>(score);
+        check_clean = overflowed == 0;
+        if (overflowed > 0 && overflowed <= kRefineEdgeLimit) {
+          util::Timer refine_timer;
+          ++stats.refine_checks;
+          check_clean = refine_clears(sol, capacities_, via_beta);
+          stats.refine_seconds += refine_timer.seconds();
+        }
       } else {
         ++check_misses;
       }
-      // Only an overflow-free best may end training; while the best still
-      // overflows, the checks back off so a congested design keeps the
-      // paper schedule at almost no cost.
-      const bool clean = std::get<0>(check_best) == 0;
-      if (clean && check_misses >= patience) {
+      // Only a clean best may end training; while the best still overflows,
+      // the checks back off so a congested design keeps the paper schedule
+      // at almost no cost.
+      if (check_clean && check_misses >= patience) {
         stats.stop_reason = StopReason::kPlateau;
         params_ = check_params;
         break;
       }
-      check_gap = clean ? kCheckInterval : 2 * check_gap;
+      check_gap = check_clean ? kCheckInterval : 2 * check_gap;
       next_check = it + check_gap;
     }
   }

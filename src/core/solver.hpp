@@ -8,10 +8,10 @@
 /// (Gumbel-softmax over groups -> coupled selection mass -> expected demand
 /// -> activation overflow + WL + via terms), back-propagates, and takes an
 /// Adam step; the temperature anneals on a fixed schedule, which train()
-/// cuts short once its best extraction is overflow-free and stops improving
-/// (DgrConfig::patience_checks). extract() turns the optimised
-/// probabilities into a discrete RouteSolution (argmax trees, top-p paths
-/// with greedy commitment).
+/// cuts short once its best extraction is clean (overflow-free, or cleared
+/// by maze refine) and stops improving (DgrConfig::patience_checks).
+/// extract() turns the optimised probabilities into a discrete
+/// RouteSolution (argmax trees, top-p paths with greedy commitment).
 
 #include <vector>
 
@@ -35,7 +35,7 @@ struct CostBreakdown {
 /// Why train() returned.
 enum class StopReason {
   kIterations,  ///< ran the whole schedule; the final logits stay
-  kPlateau,     ///< overflow-free best check not beaten by patience_checks checks
+  kPlateau,     ///< clean best check not beaten by patience_checks checks
   kDeadline,    ///< DgrConfig::deadline expired (kStageTimeout)
   kDivergence,  ///< rollback budget exhausted (kNumericDivergence)
 };
@@ -44,6 +44,10 @@ struct TrainStats {
   int iterations_run = 0;              ///< gradient steps executed (incl. replays)
   StopReason stop_reason = StopReason::kIterations;
   int checks = 0;                      ///< plateau checks run (extract + score)
+  /// Checks whose new best overflowed on 1–2 edges and so ran maze refine
+  /// on its extraction to decide whether it is clean, and their time.
+  int refine_checks = 0;
+  double refine_seconds = 0.0;
   /// Kept iteration count at the best-scoring check; -1 when none ran. On a
   /// plateau stop the solver holds that check's logits.
   int best_check_iteration = -1;
@@ -72,8 +76,8 @@ class DgrSolver {
   DgrSolver(const dag::DagForest& forest, std::vector<float> capacities,
             DgrConfig config = {});
 
-  /// Runs the training loop: the full schedule, or up to an overflow-free
-  /// plateau (DgrConfig::patience_checks).
+  /// Runs the training loop: the full schedule, or up to a clean plateau
+  /// (DgrConfig::patience_checks).
   TrainStats train();
 
   /// One gradient step at the given iteration index (exposed for tests and

@@ -29,6 +29,8 @@ struct PatternPath {
     return {waypoints.begin() + 1, waypoints.end() - 1};
   }
   std::int64_t length() const;
+
+  bool operator==(const PatternPath&) const = default;
 };
 
 struct PathEnumOptions {

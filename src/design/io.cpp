@@ -1,10 +1,12 @@
 #include "design/io.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cstdint>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <string_view>
-#include <unordered_set>
 
 #include "util/fault.hpp"
 
@@ -96,6 +98,51 @@ class LineScanner {
 
   std::string_view rest_;
   bool ok_ = true;
+};
+
+/// Duplicate-name check over the nets already read: an open-addressing
+/// table of indices into `nets`, so a name costs no allocation of its own.
+/// It starts small and doubles with the nets actually read, never sized
+/// from a declared count.
+class NetNameIndex {
+ public:
+  /// Records `name` as the name of nets[index], unless an earlier net has
+  /// it; false then. Every index already recorded must be in `nets`.
+  bool insert(std::string_view name, std::size_t index, const std::vector<Net>& nets) {
+    if (2 * (size_ + 1) > slots_.size()) grow(nets);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash(name) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == kEmpty) {
+        slots_[i] = static_cast<std::uint32_t>(index);
+        ++size_;
+        return true;
+      }
+      if (nets[slots_[i]].name == name) return false;
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+  static_assert(kMaxNets < kEmpty, "every net index must fit in a slot");
+
+  static std::size_t hash(std::string_view name) {
+    return std::hash<std::string_view>{}(name);
+  }
+
+  void grow(const std::vector<Net>& nets) {
+    const std::vector<std::uint32_t> old = std::move(slots_);
+    slots_.assign(std::max<std::size_t>(16, 2 * old.size()), kEmpty);
+    const std::size_t mask = slots_.size() - 1;
+    for (const std::uint32_t index : old) {
+      if (index == kEmpty) continue;
+      std::size_t i = hash(nets[index].name) & mask;
+      while (slots_[i] != kEmpty) i = (i + 1) & mask;
+      slots_[i] = index;
+    }
+  }
+
+  std::vector<std::uint32_t> slots_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace
@@ -234,8 +281,7 @@ Result<Design> try_read_design(std::istream& is, const DesignLimits& limits) {
   long long total_pins = 0;
   std::vector<Net> nets;
   nets.reserve(static_cast<std::size_t>(net_count));
-  std::unordered_set<std::string> seen_names;
-  seen_names.reserve(static_cast<std::size_t>(net_count));
+  NetNameIndex seen_names;
   for (long long i = 0; i < net_count; ++i) {
     if (!next_line()) return eof_fail();
     LineScanner ss(line);
@@ -252,7 +298,7 @@ Result<Design> try_read_design(std::istream& is, const DesignLimits& limits) {
       return limit_fail("total pin count exceeds the configured cap (" +
                         std::to_string(limits.max_total_pins) + " pins)");
     }
-    if (!seen_names.insert(net.name).second) {
+    if (!seen_names.insert(net.name, nets.size(), nets)) {
       return parse_fail(line_no, "duplicate net id '" + net.name + "'");
     }
     net.pins.reserve(static_cast<std::size_t>(npins));

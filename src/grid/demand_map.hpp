@@ -38,6 +38,11 @@ class DemandMap {
     return std::round(amount * kScale) * kInvScale;
   }
   void clear() { std::fill(demand_.begin(), demand_.end(), 0.0); }
+  /// Zeroes only the listed edges: resets a scratch map whose demand is
+  /// known to lie on them.
+  void clear(const std::vector<EdgeId>& edges) {
+    for (const EdgeId e : edges) demand_[static_cast<std::size_t>(e)] = 0.0;
+  }
 
   const std::vector<double>& raw() const { return demand_; }
 

@@ -248,6 +248,8 @@ eval::RouteSolution PartitionedRouter::route(pipeline::RoutingContext& ctx) {
           post::maze_refine(merged, ctx.capacities(), ropts);
       stats_.add_counter("reconcile_rerouted", static_cast<double>(rs.nets_rerouted));
       stats_.add_counter("reconcile_improved", static_cast<double>(rs.nets_improved));
+      stats_.add_counter("reconcile_kept", static_cast<double>(rs.nets_kept));
+      stats_.add_counter("reconcile_rounds_kept", static_cast<double>(rs.rounds_kept));
       obs::metrics().counter("partition.reconcile_rerouted").add(rs.nets_rerouted);
     }
   }

@@ -67,6 +67,8 @@ eval::RouteSolution DgrRouter::route(RoutingContext& ctx) {
   stats_.add_counter("best_check_iteration", static_cast<double>(train.best_check_iteration));
   stats_.add_counter("stopped_on_plateau",
                      train.stop_reason == core::StopReason::kPlateau ? 1.0 : 0.0);
+  stats_.add_counter("refine_checks", static_cast<double>(train.refine_checks));
+  stats_.add_counter("refine_check_seconds", train.refine_seconds);
   stats_.status = train.status;
   stats_.rollbacks = train.rollbacks;
   if (train.rollbacks > 0) {

@@ -32,23 +32,42 @@ struct NetCost {
   std::int64_t overflowed_edges = 0;
 };
 
+/// Reused by every net_cost call of one maze_refine: a demand map that is
+/// all zero between calls, and the edges of the net being costed.
+struct NetScratch {
+  explicit NetScratch(const grid::GCellGrid& grid) : mine(grid) {}
+  DemandMap mine;
+  std::vector<EdgeId> edges;
+};
+
 NetCost net_cost(const design::Design& design, const NetRoute& net, const DemandMap& others,
                  const std::vector<float>& cap, const MazeRefineOptions& opt,
-                 double via_scale) {
-  DemandMap mine(design.grid());
-  RouteSolution::apply_net(mine, design, net, opt.via_beta, +1.0);
+                 double via_scale, NetScratch& scratch) {
+  RouteSolution::apply_net(scratch.mine, design, net, opt.via_beta, +1.0);
+  // Via charges land on the paths' own edges, so these are all the edges
+  // the net charged. Ascending order adds `over` in the order a scan of the
+  // whole grid would.
+  scratch.edges.clear();
+  for (const dag::PatternPath& p : net.paths) {
+    const std::vector<EdgeId> path_edges = p.edges(design.grid());
+    scratch.edges.insert(scratch.edges.end(), path_edges.begin(), path_edges.end());
+  }
+  std::sort(scratch.edges.begin(), scratch.edges.end());
+  scratch.edges.erase(std::unique(scratch.edges.begin(), scratch.edges.end()),
+                      scratch.edges.end());
   NetCost out;
   double over = 0.0;
   std::int64_t wl = 0;
   std::int64_t bends = 0;
-  for (std::size_t e = 0; e < mine.raw().size(); ++e) {
-    const double w = mine.raw()[e];
-    if (w <= 0.0) continue;
+  for (const EdgeId edge : scratch.edges) {
+    const auto e = static_cast<std::size_t>(edge);
+    const double w = scratch.mine.raw()[e];
     const double base = others.raw()[e];
     const double c = cap[e];
     over += std::max(0.0, base + w - c) - std::max(0.0, base - c);
     if (base + w > c + 1e-6) ++out.overflowed_edges;
   }
+  scratch.mine.clear(scratch.edges);
   for (const dag::PatternPath& p : net.paths) {
     wl += p.length();
     bends += static_cast<std::int64_t>(p.bend_count());
@@ -94,11 +113,13 @@ MazeRefineStats maze_refine(RouteSolution& sol, const std::vector<float>& capaci
 
   DemandMap demand = sol.demand(options.via_beta);
   stats.overflow_before = demand.total_overflow(capacities);
+  NetScratch scratch(design.grid());
 
   // Per-net acceptance is marginal and accepted moves interact, so rounds
   // can still regress globally; keep the best snapshot — the initial
   // solution included, which makes refinement monotone by construction.
-  RouteSolution best = sol;
+  RouteSolution input = sol;
+  RouteSolution best;
   auto best_score = eval::reroute_score(sol, demand, capacities);
 
   for (int round = 0; round < options.max_rounds; ++round) {
@@ -114,11 +135,11 @@ MazeRefineStats maze_refine(RouteSolution& sol, const std::vector<float>& capaci
       const std::size_t i = victim.slot;
       RouteSolution::apply_net(demand, design, sol.nets[i], options.via_beta, -1.0);
       const NetCost old_cost =
-          net_cost(design, sol.nets[i], demand, capacities, options, via_scale);
+          net_cost(design, sol.nets[i], demand, capacities, options, via_scale, scratch);
       NetRoute candidate =
           maze_reroute_net(design, sol.nets[i].design_net, demand, capacities);
       const NetCost new_cost =
-          net_cost(design, candidate, demand, capacities, options, via_scale);
+          net_cost(design, candidate, demand, capacities, options, via_scale, scratch);
       ++stats.nets_rerouted;
       // Accept only complete reroutes that strictly improve without adding
       // overflowed edges (an empty candidate = unreachable pin, rejected).
@@ -135,11 +156,19 @@ MazeRefineStats maze_refine(RouteSolution& sol, const std::vector<float>& capaci
     if (score < best_score) {
       best_score = score;
       best = sol;
+      stats.rounds_kept = round + 1;
     }
     if (!improved_any) break;
   }
 
-  sol = std::move(best);
+  if (stats.rounds_kept == 0) {
+    sol = std::move(input);
+  } else {
+    sol = std::move(best);
+    for (std::size_t i = 0; i < sol.nets.size(); ++i) {
+      if (sol.nets[i].paths != input.nets[i].paths) ++stats.nets_kept;
+    }
+  }
   demand = sol.demand(options.via_beta);
   stats.overflow_after = demand.total_overflow(capacities);
   return stats;

@@ -15,8 +15,14 @@ struct MazeRefineOptions {
 
 struct MazeRefineStats {
   int rounds_run = 0;
+  /// Rounds whose result the returned routes keep: the best round, or 0
+  /// when refine returns its input.
+  int rounds_kept = 0;
   std::int64_t nets_rerouted = 0;
+  /// Accepted moves, counting those in rounds the best snapshot discards.
   std::int64_t nets_improved = 0;
+  /// Nets whose returned route differs from the input's.
+  std::int64_t nets_kept = 0;
   double overflow_before = 0.0;
   double overflow_after = 0.0;
 };

@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "design/generator.hpp"
 #include "eval/metrics.hpp"
+#include "post/maze_refine.hpp"
 #include "util/deadline.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
@@ -646,8 +647,9 @@ void expect_same_routes(const eval::RouteSolution& got, const eval::RouteSolutio
   }
 }
 
-TEST(DgrSolver, PlateauStopIsBitwiseDeterministicAcrossWorkerCounts) {
-  const design::Design d = sparse_design();
+/// Trains `d` on the 1000-iteration schedule at workers {1, 2, 4} and
+/// expects a plateau stop with identical stats, logits and routes.
+void expect_plateau_stop_bitwise_across_workers(const design::Design& d) {
   const auto cap = d.capacities();
   const dag::DagForest forest = dag::DagForest::build(d, {});
   const DgrConfig config = schedule_config(1000);
@@ -676,10 +678,15 @@ TEST(DgrSolver, PlateauStopIsBitwiseDeterministicAcrossWorkerCounts) {
     EXPECT_EQ(got.stats.stop_reason, ref.stats.stop_reason) << label;
     EXPECT_EQ(got.stats.checks, ref.stats.checks) << label;
     EXPECT_EQ(got.stats.best_check_iteration, ref.stats.best_check_iteration) << label;
+    EXPECT_EQ(got.stats.refine_checks, ref.stats.refine_checks) << label;
     EXPECT_EQ(got.logits, ref.logits) << label;
     expect_same_routes(got.solution, ref.solution, label);
   }
   util::set_worker_count(0);
+}
+
+TEST(DgrSolver, PlateauStopIsBitwiseDeterministicAcrossWorkerCounts) {
+  expect_plateau_stop_bitwise_across_workers(sparse_design());
 }
 
 TEST(DgrSolver, PlateauStopReturnsTheBestCheck) {
@@ -714,33 +721,112 @@ TEST(DgrSolver, PlateauStopReturnsTheBestCheck) {
   EXPECT_NE(solver.logits(), replay.logits());
 }
 
-TEST(DgrSolver, OverflowingDesignKeepsTheScheduleBitForBit) {
-  // No track anywhere: every extraction overflows, so the checks back off
-  // (50, 150, 350, 750) and training runs the whole schedule with its
-  // final logits, exactly as with no checks at all.
-  auto fx = ConflictFixture::make();
-  const std::vector<float> no_tracks(fx.cap.size(), 0.0f);
-  DgrConfig config = schedule_config(800);
+/// Trains with checks and on the fixed schedule and expects the same run
+/// bit for bit. The fixture must overflow on at least 3 edges at every
+/// check point (checked on a replay stepped by hand), more than the refine
+/// step looks at: so no check runs refine, the checks back off (50, 150,
+/// 350, 750) and training keeps the whole schedule with its final logits.
+void expect_schedule_kept(const dag::DagForest& forest, const std::vector<float>& cap,
+                          int iterations, int checks) {
+  DgrConfig config = schedule_config(iterations);
   config.record_telemetry = true;
-  DgrSolver checked(fx.forest(), no_tracks, config);
+  DgrSolver checked(forest, cap, config);
   const TrainStats with_checks = checked.train();
   config.patience_checks = 0;
-  DgrSolver fixed(fx.forest(), no_tracks, config);
+  DgrSolver fixed(forest, cap, config);
   const TrainStats without = fixed.train();
 
   EXPECT_EQ(with_checks.stop_reason, StopReason::kIterations);
-  EXPECT_EQ(with_checks.checks, 4);
+  EXPECT_EQ(with_checks.checks, checks);
+  EXPECT_EQ(with_checks.refine_checks, 0);
+  EXPECT_EQ(with_checks.refine_seconds, 0.0);
   EXPECT_EQ(without.checks, 0);
   EXPECT_EQ(without.best_check_iteration, -1);
   EXPECT_EQ(with_checks.iterations_run, without.iterations_run);
-  EXPECT_EQ(with_checks.iterations_run, 800);
+  EXPECT_EQ(with_checks.iterations_run, iterations);
   EXPECT_EQ(checked.logits(), fixed.logits());
-  expect_same_routes(checked.extract(), fixed.extract(), "overflowing");
+  expect_same_routes(checked.extract(), fixed.extract(), "schedule");
   ASSERT_EQ(with_checks.telemetry.samples().size(), without.telemetry.samples().size());
   for (std::size_t i = 0; i < without.telemetry.samples().size(); ++i) {
     EXPECT_EQ(with_checks.telemetry.samples()[i].loss, without.telemetry.samples()[i].loss)
         << i;
   }
+
+  DgrSolver replay(forest, cap, config);
+  int next_check = 50;
+  for (int it = 0; it < iterations; ++it) {
+    replay.train_step(it);
+    if (it + 1 == next_check) {
+      const eval::Metrics m =
+          eval::compute_metrics(replay.extract(), cap, forest.options().via_demand_beta);
+      EXPECT_GE(m.overflow_edges, 3) << "check at " << next_check;
+      next_check = 2 * next_check + 50;
+    }
+  }
+}
+
+TEST(DgrSolver, OverflowingDesignKeepsTheScheduleBitForBit) {
+  // No track anywhere: both nets overflow on every edge they use.
+  auto fx = ConflictFixture::make();
+  expect_schedule_kept(fx.forest(), std::vector<float>(fx.cap.size(), 0.0f), 800, 4);
+}
+
+/// Uncongested, but its extraction keeps exactly 1 overflowed edge at every
+/// one of the 20 checks a fixed 1000-iteration schedule would make, and
+/// maze refine clears it: the plateau stop needs refine's verdict.
+design::Design stuck_edge_design() {
+  design::IspdLikeParams p;
+  p.name = "plateau_stuck_edge";
+  p.grid_w = p.grid_h = 16;
+  p.num_nets = 120;
+  p.layers = 5;
+  p.tracks_per_layer = 4;
+  return design::generate_ispd_like(p, 22);
+}
+
+TEST(DgrSolver, RefineClearedBestStopsOnPlateau) {
+  const design::Design d = stuck_edge_design();
+  const auto cap = d.capacities();
+  const dag::DagForest forest = dag::DagForest::build(d, {});
+  const float via_beta = forest.options().via_demand_beta;
+  const DgrConfig config = schedule_config(1000);
+  DgrSolver solver(forest, cap, config);
+  const TrainStats stats = solver.train();
+  ASSERT_EQ(stats.stop_reason, StopReason::kPlateau);
+  EXPECT_TRUE(stats.status.ok());
+  EXPECT_LT(stats.iterations_run, config.iterations);
+  EXPECT_EQ(stats.checks, stats.best_check_iteration / 50 + config.patience_checks);
+  // Refine ran once per new best that kept an overflowed edge, never more.
+  EXPECT_GE(stats.refine_checks, 1);
+  EXPECT_LE(stats.refine_checks, stats.best_check_iteration / 50);
+  EXPECT_GT(stats.refine_seconds, 0.0);
+
+  // The returned best check still overflows on one edge; the flow's refine
+  // stage clears it.
+  eval::RouteSolution sol = solver.extract();
+  EXPECT_EQ(eval::compute_metrics(sol, cap, via_beta).overflow_edges, 1);
+  post::MazeRefineOptions refine;
+  refine.via_beta = via_beta;
+  post::maze_refine(sol, cap, refine);
+  EXPECT_EQ(eval::compute_metrics(sol, cap, via_beta).overflow_edges, 0);
+  EXPECT_TRUE(sol.connects_all_pins());
+}
+
+TEST(DgrSolver, RefineClearedStopIsBitwiseDeterministicAcrossWorkerCounts) {
+  expect_plateau_stop_bitwise_across_workers(stuck_edge_design());
+}
+
+TEST(DgrSolver, CongestedDesignRunsNoRefineCheck) {
+  // Two tracks per layer: a generated design whose extraction overflows on
+  // far more than 2 edges at every check.
+  design::IspdLikeParams p;
+  p.name = "plateau_congested";
+  p.grid_w = p.grid_h = 12;
+  p.num_nets = 120;
+  p.layers = 5;
+  p.tracks_per_layer = 2;
+  const design::Design d = design::generate_ispd_like(p, 1);
+  expect_schedule_kept(dag::DagForest::build(d, {}), d.capacities(), 400, 3);
 }
 
 TEST(DgrSolver, ExpiredDeadlineReportsDeadlineStop) {

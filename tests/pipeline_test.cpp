@@ -9,6 +9,7 @@
 #include <chrono>
 #include <memory>
 
+#include "core/solver.hpp"
 #include "design/generator.hpp"
 #include "eval/metrics.hpp"
 #include "pipeline/pipeline.hpp"
@@ -242,7 +243,8 @@ TEST(Pipeline, DgrCountsTrainableLogits) {
 
 TEST(Pipeline, DgrReportsPlateauCounters) {
   // A sparse design: the first check's extraction is overflow-free, so the
-  // default patience (6) stops training at the seventh check.
+  // default patience (3) stops training at the fourth check, and no check
+  // needs refine's verdict.
   design::IspdLikeParams p;
   p.name = "pipeline_sparse";
   p.grid_w = p.grid_h = 16;
@@ -259,9 +261,11 @@ TEST(Pipeline, DgrReportsPlateauCounters) {
 
   const PipelineResult stopped = pipe.run("dgr", opts);
   EXPECT_EQ(stopped.stats.counter("stopped_on_plateau", kMissing), 1.0);
-  EXPECT_EQ(stopped.stats.counter("checks", kMissing), 7.0);
+  EXPECT_EQ(stopped.stats.counter("checks", kMissing), 4.0);
   EXPECT_EQ(stopped.stats.counter("best_check_iteration", kMissing), 50.0);
-  EXPECT_EQ(stopped.stats.counter("iterations"), 350.0);
+  EXPECT_EQ(stopped.stats.counter("iterations"), 200.0);
+  EXPECT_EQ(stopped.stats.counter("refine_checks", kMissing), 0.0);
+  EXPECT_EQ(stopped.stats.counter("refine_check_seconds", kMissing), 0.0);
   EXPECT_EQ(stopped.metrics.overflow_edges, 0);
 
   opts.dgr.patience_checks = 0;
@@ -270,6 +274,51 @@ TEST(Pipeline, DgrReportsPlateauCounters) {
   EXPECT_EQ(fixed.stats.counter("checks", kMissing), 0.0);
   EXPECT_EQ(fixed.stats.counter("best_check_iteration", kMissing), -1.0);
   EXPECT_EQ(fixed.stats.counter("iterations"), 400.0);
+  EXPECT_EQ(fixed.stats.counter("refine_checks", kMissing), 0.0);
+}
+
+TEST(Pipeline, RefineClearedStopMatchesTrainExtractRefine) {
+  // The best check keeps 1 overflowed edge that maze refine clears, so the
+  // stop rests on refine's verdict. The public calls Pipeline::run makes
+  // (forest, DgrSolver::train, extract, post::maze_refine) must give the
+  // same routes, since a traced flow rebuilt from them relies on it.
+  design::IspdLikeParams p;
+  p.name = "pipeline_stuck_edge";
+  p.grid_w = p.grid_h = 16;
+  p.num_nets = 120;
+  p.layers = 5;
+  p.tracks_per_layer = 4;
+  const design::Design d = design::generate_ispd_like(p, 22);
+  const RouterOptions opts;  // the traced flow's RouterOptions{}.dgr
+  constexpr double kMissing = -2.0;
+
+  RoutingContext ctx(d);
+  Pipeline pipe(ctx);
+  const PipelineResult r = pipe.run("dgr", opts, StagePlan{.maze_refine = true});
+  ASSERT_TRUE(r.stats.status.ok()) << r.stats.status.to_string();
+  EXPECT_EQ(r.stats.counter("stopped_on_plateau", kMissing), 1.0);
+  EXPECT_LT(r.stats.counter("iterations"), 1000.0);
+  EXPECT_GE(r.stats.counter("refine_checks", kMissing), 1.0);
+  EXPECT_EQ(r.metrics.overflow_edges, 0);
+
+  RoutingContext manual(d);
+  dag::ForestOptions fopts = opts.forest;
+  fopts.via_demand_beta = manual.via_beta();
+  core::DgrSolver solver(manual.forest(fopts), manual.capacities(), opts.dgr);
+  const core::TrainStats train = solver.train();
+  EXPECT_EQ(train.stop_reason, core::StopReason::kPlateau);
+  eval::RouteSolution sol = solver.extract();
+  post::MazeRefineOptions refine;
+  refine.via_beta = manual.via_beta();
+  const post::MazeRefineStats rs = post::maze_refine(sol, manual.capacities(), refine);
+
+  EXPECT_EQ(r.refine.nets_kept, rs.nets_kept);
+  EXPECT_EQ(r.refine.rounds_kept, rs.rounds_kept);
+  ASSERT_EQ(r.solution.nets.size(), sol.nets.size());
+  for (std::size_t n = 0; n < sol.nets.size(); ++n) {
+    EXPECT_EQ(r.solution.nets[n].design_net, sol.nets[n].design_net) << n;
+    EXPECT_EQ(r.solution.nets[n].paths, sol.nets[n].paths) << n;
+  }
 }
 
 TEST(Pipeline, DgrOnDesignWithoutRoutableNetsIsOkAndEmpty) {

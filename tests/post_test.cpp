@@ -202,22 +202,67 @@ TEST(MazeRefine, MonotoneOverRounds) {
   EXPECT_DOUBLE_EQ(stats.overflow_after, 0.0);
 }
 
-TEST(MazeRefine, EndToEndAfterRouterOnCongestedCase) {
+/// A congested design routed by `cugr2-lite` with one rip-up round.
+Design congested_design() {
   design::IspdLikeParams p;
   p.num_nets = 400;
   p.grid_w = p.grid_h = 18;
   p.layers = 5;
   p.tracks_per_layer = 2;
   p.hotspot_affinity = 0.7;
-  const Design d = design::generate_ispd_like(p, 77);
-  const auto cap = d.capacities();
+  return design::generate_ispd_like(p, 77);
+}
+
+RouteSolution route_one_rrr_round(const Design& d, const std::vector<float>& cap) {
   routers::Cugr2LiteOptions ropts;
   ropts.rrr_rounds = 1;
   routers::Cugr2Lite router(d, cap, ropts);
-  RouteSolution sol = router.route();
+  return router.route();
+}
+
+TEST(MazeRefine, EndToEndAfterRouterOnCongestedCase) {
+  const Design d = congested_design();
+  const auto cap = d.capacities();
+  RouteSolution sol = route_one_rrr_round(d, cap);
   const MazeRefineStats stats = maze_refine(sol, cap);
   EXPECT_LE(stats.overflow_after, stats.overflow_before + 1e-9);
   EXPECT_TRUE(sol.connects_all_pins());
+}
+
+TEST(MazeRefine, KeptCountersAreZeroWhenRefineReturnsItsInput) {
+  // Every round accepts some moves, but none beats the input's score, so
+  // the best snapshot is the input: nothing is kept.
+  const Design d = congested_design();
+  const auto cap = d.capacities();
+  RouteSolution sol = route_one_rrr_round(d, cap);
+  const RouteSolution input = sol;
+  const MazeRefineStats stats = maze_refine(sol, cap);
+  EXPECT_GT(stats.rounds_run, 0);
+  EXPECT_GT(stats.nets_improved, 0);
+  EXPECT_EQ(stats.rounds_kept, 0);
+  EXPECT_EQ(stats.nets_kept, 0);
+  ASSERT_EQ(sol.nets.size(), input.nets.size());
+  for (std::size_t n = 0; n < sol.nets.size(); ++n) {
+    EXPECT_EQ(sol.nets[n].paths, input.nets[n].paths) << n;
+  }
+}
+
+TEST(MazeRefine, KeptCountersCountTheReturnedMoves) {
+  CongestedFixture fx = CongestedFixture::make();
+  const RouteSolution input = fx.sol;
+  MazeRefineOptions opts;
+  opts.max_rounds = 5;
+  opts.via_beta = 0.0f;
+  const MazeRefineStats stats = maze_refine(fx.sol, fx.cap, opts);
+  std::int64_t changed = 0;
+  for (std::size_t n = 0; n < fx.sol.nets.size(); ++n) {
+    changed += fx.sol.nets[n].paths != input.nets[n].paths ? 1 : 0;
+  }
+  EXPECT_GT(changed, 0);
+  EXPECT_EQ(stats.nets_kept, changed);
+  EXPECT_LE(stats.nets_kept, stats.nets_improved);
+  EXPECT_GE(stats.rounds_kept, 1);
+  EXPECT_LE(stats.rounds_kept, stats.rounds_run);
 }
 
 }  // namespace
