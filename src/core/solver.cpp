@@ -111,6 +111,7 @@ DgrSolver::Forward DgrSolver::build_forward(ad::Tape& tape, float temperature,
 
 double DgrSolver::train_step(int iteration) {
   DGR_TRACE_SCOPE("core.train_step");
+  const util::InlineScope scope = kernel_scope();
   const float t = temperature_at(iteration);
   const std::size_t np = relax_.path_count();
   const std::size_t nt = relax_.tree_count();
@@ -187,6 +188,7 @@ double DgrSolver::train_step(int iteration) {
 
 TrainStats DgrSolver::train() {
   DGR_TRACE_SCOPE("core.train");
+  const util::InlineScope scope = kernel_scope();
   TrainStats stats;
   stats.logits = params_.size();
   stats.trainable_logits = relax_.trainable.size();
@@ -343,11 +345,13 @@ TrainStats DgrSolver::train() {
 }
 
 CostBreakdown DgrSolver::evaluate(float temperature) const {
+  const util::InlineScope scope = kernel_scope();
   ad::Tape tape;
   return build_forward(tape, temperature, nullptr, nullptr).breakdown;
 }
 
 std::vector<float> DgrSolver::path_probs(float temperature) const {
+  const util::InlineScope scope = kernel_scope();
   ad::Tape tape;
   const ad::NodeId logits = tape.input(params_.data(), relax_.path_count());
   const ad::NodeId p =
@@ -357,6 +361,7 @@ std::vector<float> DgrSolver::path_probs(float temperature) const {
 }
 
 std::vector<float> DgrSolver::tree_probs(float temperature) const {
+  const util::InlineScope scope = kernel_scope();
   ad::Tape tape;
   const ad::NodeId logits =
       tape.input(params_.data() + relax_.path_count(), relax_.tree_count());

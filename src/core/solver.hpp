@@ -20,10 +20,21 @@
 #include "core/relaxation.hpp"
 #include "eval/solution.hpp"
 #include "obs/convergence.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 
 namespace dgr::core {
+
+/// Path-candidate count from which a DgrSolver's kernels use the thread
+/// pool. Below it, train() (its plateau checks included), train_step(),
+/// extract(), evaluate() and the probability queries run every kernel
+/// inline on the calling thread (util::InlineScope). Measured on the 4-vCPU
+/// bench host: 4 workers lost to 1 or tied up to about 3,000 candidates and
+/// won from 3,348 up; every bench_suite design has at most 3,313
+/// (DESIGN.md §5.5). Inline and pooled runs are bitwise identical, so the
+/// rule moves time, never results.
+inline constexpr std::size_t kPooledPathCandidates = 4'000;
 
 struct CostBreakdown {
   double total = 0.0;
@@ -124,6 +135,10 @@ class DgrSolver {
     ad::NodeId tree_logits;
     CostBreakdown breakdown;
   };
+  /// Opens the inline scope of this solver's size (kPooledPathCandidates).
+  util::InlineScope kernel_scope() const {
+    return util::InlineScope(relax_.path_count() < kPooledPathCandidates);
+  }
   /// Builds the Fig. 4 computation graph on `tape`.
   Forward build_forward(ad::Tape& tape, float temperature,
                         const std::vector<float>* path_noise,

@@ -84,18 +84,17 @@ NetRoute maze_reroute_net(const design::Design& design, std::size_t design_net,
                           const DemandMap& others, const std::vector<float>& cap) {
   const auto& grid = design.grid();
   // Track this net's own usage so parallel sub-nets share edges for free.
-  DemandMap mine(grid);
+  routers::EdgeUsage& mine = routers::MazeWorkspace::local().usage();
+  mine.reset(grid);
   auto price = [&](EdgeId e) {
-    const double d = others.raw()[static_cast<std::size_t>(e)] +
-                     mine.raw()[static_cast<std::size_t>(e)];
+    const double d = others.raw()[static_cast<std::size_t>(e)] + mine[e];
     const double c = cap[static_cast<std::size_t>(e)];
     const double marginal = std::max(0.0, d + 1.0 - c) - std::max(0.0, d - c);
     return eval::kWirelengthWeight + kCongestionPrice * marginal;
   };
   routers::MazeConnection mc = routers::maze_connect(
-      grid, design.net(design_net).pins, price, [&](const dag::PatternPath& path) {
-        for (const EdgeId e : path.edges(grid)) mine.add(e, 1.0);
-      });
+      grid, design.net(design_net).pins, price,
+      [&](const dag::PatternPath& path) { mine.add(grid, path); });
   // Unreachable pin (pathological pricing): the empty route tells the
   // caller to reject it instead of committing broken geometry.
   if (!mc.status.ok()) {

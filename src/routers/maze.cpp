@@ -1,118 +1,60 @@
 #include "routers/maze.hpp"
 
-#include <cmath>
-#include <limits>
-#include <queue>
+#include <string>
 
 namespace dgr::routers {
 
-MazeResult maze_route(const GCellGrid& grid, const std::vector<Point>& sources,
-                      Point target, const std::function<double(EdgeId)>& edge_cost) {
-  MazeResult result;
-  if (sources.empty()) {
-    result.status = Status(StatusCode::kInvalidArgument, "maze: empty source set");
-    return result;
-  }
-  const auto num_cells = static_cast<std::size_t>(grid.cell_count());
-  std::vector<double> dist(num_cells, std::numeric_limits<double>::infinity());
-  std::vector<std::int32_t> prev(num_cells, -1);
-
-  using QItem = std::pair<double, std::int32_t>;  // (dist, cell)
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<>> queue;
-  for (const Point& s : sources) {
-    const auto c = static_cast<std::size_t>(grid.cell_id(s));
-    if (dist[c] > 0.0) {
-      dist[c] = 0.0;
-      queue.push({0.0, static_cast<std::int32_t>(c)});
-    }
-  }
-  const auto target_id = static_cast<std::size_t>(grid.cell_id(target));
-
-  while (!queue.empty()) {
-    const auto [d, cell] = queue.top();
-    queue.pop();
-    const auto c = static_cast<std::size_t>(cell);
-    if (d > dist[c]) continue;  // stale entry
-    if (c == target_id) break;
-    const Point p = grid.cell_point(cell);
-    const Point neighbours[4] = {
-        {static_cast<geom::Coord>(p.x - 1), p.y},
-        {static_cast<geom::Coord>(p.x + 1), p.y},
-        {p.x, static_cast<geom::Coord>(p.y - 1)},
-        {p.x, static_cast<geom::Coord>(p.y + 1)},
-    };
-    for (const Point& q : neighbours) {
-      if (!grid.in_bounds(q)) continue;
-      const EdgeId e = grid.edge_between(p, q);
-      const double nd = d + edge_cost(e);
-      const auto qc = static_cast<std::size_t>(grid.cell_id(q));
-      if (nd < dist[qc]) {
-        dist[qc] = nd;
-        prev[qc] = cell;
-        queue.push({nd, static_cast<std::int32_t>(qc)});
-      }
-    }
-  }
-
-  if (!std::isfinite(dist[target_id])) {
-    // Surface the dead end as a typed Status instead of a silent empty
-    // result, so callers can distinguish "no path" from "not attempted".
-    const Point t = grid.cell_point(static_cast<std::int32_t>(target_id));
-    result.status = Status(StatusCode::kUnreachableTarget,
-                           "maze: target (" + std::to_string(t.x) + "," +
-                               std::to_string(t.y) + ") unreachable from " +
-                               std::to_string(sources.size()) + " source(s)");
-    return result;
-  }
-  result.found = true;
-  result.status = Status();  // OK
-  result.cost = dist[target_id];
-  // Walk predecessors back to a source.
-  std::vector<Point> reversed;
-  std::int32_t cur = static_cast<std::int32_t>(target_id);
-  while (cur >= 0) {
-    reversed.push_back(grid.cell_point(cur));
-    cur = prev[static_cast<std::size_t>(cur)];
-  }
-  result.cells.assign(reversed.rbegin(), reversed.rend());
-  return result;
+MazeWorkspace& MazeWorkspace::local() {
+  thread_local MazeWorkspace workspace;
+  return workspace;
 }
 
-MazeConnection maze_connect(const GCellGrid& grid, const std::vector<Point>& net_pins,
-                            const std::function<double(EdgeId)>& edge_cost,
-                            const std::function<void(const PatternPath&)>& on_path) {
-  MazeConnection out;
-  const std::vector<Point> pins = geom::dedupe_points(net_pins);
-  std::vector<Point> component{pins.front()};
-  std::vector<bool> connected(pins.size(), false);
-  connected[0] = true;
-  for (std::size_t step = 1; step < pins.size(); ++step) {
-    std::size_t next = pins.size();
-    std::int64_t best_d = std::numeric_limits<std::int64_t>::max();
-    for (std::size_t i = 0; i < pins.size(); ++i) {
-      if (connected[i]) continue;
-      for (const Point& c : component) {
-        const std::int64_t d = geom::manhattan(pins[i], c);
-        if (d < best_d) {
-          best_d = d;
-          next = i;
-        }
-      }
-    }
-    const MazeResult mz = maze_route(grid, component, pins[next], edge_cost);
-    if (!mz.found) {
-      // Only a pathological cost (e.g. +inf walls) strands a pin on the
-      // connected grid. Return no geometry rather than a partial net.
-      out.paths.clear();
-      out.status = mz.status;
-      return out;
-    }
-    out.paths.push_back(compress_cells(mz.cells));
-    if (on_path) on_path(out.paths.back());
-    component.insert(component.end(), mz.cells.begin(), mz.cells.end());
-    connected[next] = true;
+void MazeWorkspace::walk(const GCellGrid& grid, CellId target) {
+  walk_.clear();
+  for (CellId cur = target; cur >= 0; cur = cells_[static_cast<std::size_t>(cur)].prev) {
+    walk_.push_back(grid.cell_point(cur));
   }
-  return out;
+  std::reverse(walk_.begin(), walk_.end());
+}
+
+Status MazeWorkspace::unreachable(Point target, std::size_t source_count) {
+  // Surface the dead end as a typed Status instead of a silent empty
+  // result, so callers can distinguish "no path" from "not attempted".
+  return Status(StatusCode::kUnreachableTarget,
+                "maze: target (" + std::to_string(target.x) + "," +
+                    std::to_string(target.y) + ") unreachable from " +
+                    std::to_string(source_count) + " source(s)");
+}
+
+Status MazeWorkspace::off_grid(const char* what, Point p) {
+  return Status(StatusCode::kInvalidArgument, std::string("maze: ") + what + " (" +
+                                                  std::to_string(p.x) + "," +
+                                                  std::to_string(p.y) + ") outside the grid");
+}
+
+void EdgeUsage::reset(const GCellGrid& grid) {
+  for (const EdgeId e : touched_) count_[static_cast<std::size_t>(e)] = 0.0;
+  touched_.clear();
+  const auto edges = static_cast<std::size_t>(grid.edge_count());
+  if (count_.size() < edges) count_.resize(edges, 0.0);
+}
+
+void EdgeUsage::add(const GCellGrid& grid, const PatternPath& path) {
+  // Whole wires are exact in a double, so the order of the adds is free.
+  auto wire = [&](EdgeId e) {
+    count_[static_cast<std::size_t>(e)] += 1.0;
+    touched_.push_back(e);
+  };
+  for (std::size_t i = 0; i + 1 < path.waypoints.size(); ++i) {
+    const Point a = path.waypoints[i];
+    const Point b = path.waypoints[i + 1];
+    for (geom::Coord x = std::min(a.x, b.x); x < std::max(a.x, b.x); ++x) {
+      wire(grid.h_edge(x, a.y));
+    }
+    for (geom::Coord y = std::min(a.y, b.y); y < std::max(a.y, b.y); ++y) {
+      wire(grid.v_edge(a.x, y));
+    }
+  }
 }
 
 PatternPath compress_cells(const std::vector<Point>& cells) {

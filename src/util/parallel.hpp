@@ -11,8 +11,9 @@
 // so a parallel_for over a tight numeric loop compiles to the same code as
 // the loop itself. Dispatch costs are paid only when they buy something:
 //
-//  * fast path — a range that fits in one grain, or worker_count() == 1,
-//    runs inline on the calling thread with no pool wakeup at all;
+//  * fast path — a range that fits in one grain, worker_count() == 1, or a
+//    submission inside an InlineScope runs inline on the calling thread
+//    with no pool wakeup at all;
 //  * one job at a time — a submission that finds the pool busy (another
 //    thread's job, or a nested call from inside a stage function) runs
 //    inline on its own thread instead of queueing behind it;
@@ -44,6 +45,32 @@ std::size_t worker_count();
 /// Overrides the worker count (0 restores the default). Mainly for tests
 /// that check determinism across thread counts.
 void set_worker_count(std::size_t n);
+
+namespace detail {
+
+/// Set while an InlineScope is active on this thread.
+inline thread_local bool t_run_inline = false;
+
+}  // namespace detail
+
+/// While alive, every ParallelRuntime submission from this thread runs
+/// inline on it, exactly as a range that fits in one grain does, so results
+/// are bitwise unchanged. A caller that knows its jobs are too small to pay
+/// for a pool wakeup opens one around them (DgrSolver does, by its
+/// path-candidate count). `active = false` changes nothing, and scopes nest:
+/// each restores the setting it found.
+class InlineScope {
+ public:
+  explicit InlineScope(bool active = true) : previous_(detail::t_run_inline) {
+    detail::t_run_inline = previous_ || active;
+  }
+  ~InlineScope() { detail::t_run_inline = previous_; }
+  InlineScope(const InlineScope&) = delete;
+  InlineScope& operator=(const InlineScope&) = delete;
+
+ private:
+  bool previous_;
+};
 
 namespace detail {
 
@@ -81,10 +108,10 @@ inline void run_inline(const RawStage* stages, std::size_t count) {
   }
 }
 
-/// Pooled when the work spans more than one grain and the pool is free;
-/// inline otherwise.
+/// Pooled when the work spans more than one grain, no InlineScope is open
+/// on this thread and the pool is free; inline otherwise.
 inline void dispatch(const RawStage* stages, std::size_t count, bool small) {
-  if (small || !pool_try_run(stages, count)) run_inline(stages, count);
+  if (small || t_run_inline || !pool_try_run(stages, count)) run_inline(stages, count);
 }
 
 template <class F>
@@ -152,7 +179,8 @@ class ParallelRuntime {
   /// consecutive stages, paying a single pool wakeup for the whole chain.
   /// Stage k+1 may read anything stage k wrote (the barrier publishes it).
   /// Falls back to an inline serial sweep when the pool would not help
-  /// (single worker, every stage fits in its own grain, or the pool is busy)
+  /// (single worker, every stage fits in its own grain, an InlineScope, or
+  /// the pool is busy)
   /// — bitwise identical results either way thanks to the ownership contract.
   template <class... S>
   static void fused(BlockedStage<S>... stages) {

@@ -364,23 +364,12 @@ TrainOutcome train_at_workers(const dag::DagForest& forest, const std::vector<fl
   return out;
 }
 
-TEST(DgrSolver, BitwiseDeterministicAcrossWorkerCounts) {
-  // The ISSUE's headline contract: every parallel kernel in the training loop
-  // partitions work by (begin, end, grain) only, so thread count must not
-  // change a single bit of the trajectory. Run the full train()+extract()
-  // pipeline at 1/2/4/default workers and require bitwise-equal histories,
-  // parameters, and routes.
-  design::IspdLikeParams p;
-  p.num_nets = 80;
-  p.grid_w = p.grid_h = 16;
-  const design::Design d = design::generate_ispd_like(p, 11);
-  const auto cap = d.capacities();
-  const dag::DagForest forest = dag::DagForest::build(d, {});
-  DgrConfig config = fast_config();
-  config.iterations = 40;
-
+/// Trains at 1 worker, then at 2, 4 and the default, and expects
+/// bitwise-equal cost histories, parameters and routes.
+void expect_bitwise_across_workers(const dag::DagForest& forest, const std::vector<float>& cap,
+                                   const DgrConfig& config) {
   const TrainOutcome ref = train_at_workers(forest, cap, config, 1);
-  ASSERT_EQ(ref.losses.size(), 40u);
+  ASSERT_EQ(ref.losses.size(), static_cast<std::size_t>(config.iterations));
   for (const std::size_t workers : {std::size_t{2}, std::size_t{4}, std::size_t{0}}) {
     const TrainOutcome got = train_at_workers(forest, cap, config, workers);
     ASSERT_EQ(got.losses.size(), ref.losses.size()) << workers;
@@ -404,6 +393,45 @@ TEST(DgrSolver, BitwiseDeterministicAcrossWorkerCounts) {
     }
   }
   util::set_worker_count(0);
+}
+
+TEST(DgrSolver, BitwiseDeterministicAcrossWorkerCounts) {
+  // The headline determinism contract: every parallel kernel in the
+  // training loop partitions work by (begin, end, grain) only, so thread
+  // count must not change a single bit of the trajectory. Run the full
+  // train()+extract() pipeline at 1/2/4/default workers and require
+  // bitwise-equal histories, parameters, and routes.
+  design::IspdLikeParams p;
+  p.num_nets = 80;
+  p.grid_w = p.grid_h = 16;
+  const design::Design d = design::generate_ispd_like(p, 11);
+  const auto cap = d.capacities();
+  const dag::DagForest forest = dag::DagForest::build(d, {});
+  DgrConfig config = fast_config();
+  config.iterations = 40;
+  expect_bitwise_across_workers(forest, cap, config);
+}
+
+TEST(DgrSolver, PooledDesignIsBitwiseDeterministicAcrossWorkerCounts) {
+  // The 80-net design above runs every kernel inline at any worker count
+  // (kPooledPathCandidates), so this one is generated above the constant:
+  // at 2 and 4 workers its kernels reach the pool. A few iterations keep it
+  // fast under the sanitizers.
+  design::IspdLikeParams p;
+  p.name = "pooled";
+  p.grid_w = p.grid_h = 64;
+  p.num_nets = 1600;
+  p.layers = 5;
+  p.tracks_per_layer = 3;
+  const design::Design d = design::generate_ispd_like(p, 5050);
+  const auto cap = d.capacities();
+  const dag::DagForest forest = dag::DagForest::build(d, {});
+  ASSERT_GE(forest.paths().size(), kPooledPathCandidates)
+      << "the design must stay above the inline constant to test the pool";
+  DgrConfig config = fast_config();
+  config.iterations = 3;
+  config.patience_checks = 0;
+  expect_bitwise_across_workers(forest, cap, config);
 }
 
 TEST(DgrSolver, ForwardMatchesPlainLoopOracle) {

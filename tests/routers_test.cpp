@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <thread>
 
 #include "design/generator.hpp"
 #include "eval/metrics.hpp"
@@ -15,6 +17,8 @@
 #include "routers/sproute_lite.hpp"
 #include "util/deadline.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
+#include "maze_reference.hpp"
 
 namespace dgr::routers {
 namespace {
@@ -93,6 +97,239 @@ TEST(Maze, EmptySourceSetIsInvalidArgument) {
   const MazeResult r = maze_route(grid, {}, {5, 5}, [](grid::EdgeId) { return 1.0; });
   EXPECT_FALSE(r.found);
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(Maze, OutOfGridSourceOrTargetIsInvalidArgument) {
+  const GCellGrid grid = GCellGrid::uniform(6, 4, 2, 1);
+  auto unit = [](grid::EdgeId) { return 1.0; };
+  for (const Point outside : {Point{-1, 0}, Point{6, 0}, Point{0, -1}, Point{0, 4},
+                              Point{100000, 100000}}) {
+    const MazeResult from = maze_route(grid, {{1, 1}, outside}, {2, 2}, unit);
+    EXPECT_FALSE(from.found);
+    EXPECT_TRUE(from.cells.empty());
+    EXPECT_EQ(from.status.code(), StatusCode::kInvalidArgument);
+    const MazeResult to = maze_route(grid, {{1, 1}}, outside, unit);
+    EXPECT_FALSE(to.found);
+    EXPECT_EQ(to.status.code(), StatusCode::kInvalidArgument);
+  }
+  // The engine stays usable after a rejected call.
+  EXPECT_TRUE(maze_route(grid, {{0, 0}}, {5, 3}, unit).found);
+}
+
+TEST(Maze, ConnectRejectsEmptyAndOutOfGridPins) {
+  const GCellGrid grid = GCellGrid::uniform(6, 6, 2, 1);
+  auto unit = [](grid::EdgeId) { return 1.0; };
+  const MazeConnection empty = maze_connect(grid, {}, unit);
+  EXPECT_TRUE(empty.paths.empty());
+  EXPECT_EQ(empty.status.code(), StatusCode::kInvalidArgument);
+  const MazeConnection off = maze_connect(grid, {{1, 1}, {3, 3}, {6, 2}}, unit);
+  EXPECT_TRUE(off.paths.empty());
+  EXPECT_EQ(off.status.code(), StatusCode::kInvalidArgument);
+  const MazeConnection lone_off = maze_connect(grid, {{-2, 1}}, unit);
+  EXPECT_EQ(lone_off.status.code(), StatusCode::kInvalidArgument);
+  const MazeConnection lone = maze_connect(grid, {{2, 1}, {2, 1}}, unit);
+  EXPECT_TRUE(lone.paths.empty());
+  EXPECT_TRUE(lone.status.ok());
+}
+
+// Differential check of the engine against the plain Dijkstra in
+// maze_reference.hpp, on seeded grids and costs: the same inputs go to both
+// and every output must be bitwise equal.
+class MazeChecker {
+ public:
+  explicit MazeChecker(std::uint64_t seed) : rng_(seed) {}
+
+  /// A grid of 1..24 cells a side.
+  GCellGrid grid() {
+    return GCellGrid::uniform(static_cast<int>(rng_.uniform_int(1, 24)),
+                              static_cast<int>(rng_.uniform_int(1, 24)), 2, 1);
+  }
+  Point cell(const GCellGrid& g) {
+    return {static_cast<geom::Coord>(rng_.uniform_int(0, g.width() - 1)),
+            static_cast<geom::Coord>(rng_.uniform_int(0, g.height() - 1))};
+  }
+  /// Per-edge costs drawn from {0.5, 500.5, 1000.5}, so many paths tie;
+  /// `walls` of the edges cost +inf.
+  std::vector<double> tie_costs(const GCellGrid& g, double walls = 0.0) {
+    std::vector<double> cost(static_cast<std::size_t>(g.edge_count()));
+    for (double& c : cost) {
+      c = rng_.uniform() < walls ? std::numeric_limits<double>::infinity()
+                                 : 0.5 + 500.0 * static_cast<double>(rng_.uniform_int(0, 2));
+    }
+    return cost;
+  }
+  /// A random demand map and capacities for refine's price.
+  std::pair<std::vector<double>, std::vector<float>> demand(const GCellGrid& g) {
+    std::vector<double> d(static_cast<std::size_t>(g.edge_count()));
+    std::vector<float> cap(d.size());
+    for (std::size_t e = 0; e < d.size(); ++e) {
+      cap[e] = static_cast<float>(rng_.uniform_int(0, 3));
+      d[e] = static_cast<double>(rng_.uniform_int(0, 4)) + 0.5 * rng_.uniform_int(0, 1);
+    }
+    return {std::move(d), std::move(cap)};
+  }
+  std::vector<Point> cells(const GCellGrid& g, std::int64_t lo, std::int64_t hi) {
+    std::vector<Point> out(static_cast<std::size_t>(rng_.uniform_int(lo, hi)));
+    for (Point& p : out) p = cell(g);
+    return out;
+  }
+
+  template <class Cost>
+  static void expect_same_route(const GCellGrid& g, const std::vector<Point>& sources,
+                                Point target, Cost cost) {
+    const MazeResult want = reference::maze_route(g, sources, target, cost);
+    const MazeResult got = maze_route(g, sources, target, cost);
+    ASSERT_EQ(got.found, want.found);
+    EXPECT_EQ(got.status.code(), want.status.code());
+    EXPECT_EQ(got.status.message(), want.status.message());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cost), std::bit_cast<std::uint64_t>(want.cost));
+    EXPECT_EQ(got.cells, want.cells);
+  }
+
+ private:
+  util::Rng rng_;
+};
+
+/// Refine's price (post::maze_reroute_net) over `others` plus a net's own
+/// usage: 0.5 per unit of wire plus 500 per unit of overuse.
+double refine_price(double others, double mine, float cap) {
+  const double d = others + mine;
+  const double c = cap;
+  return 0.5 + 500.0 * (std::max(0.0, d + 1.0 - c) - std::max(0.0, d - c));
+}
+
+TEST(Maze, MatchesReferenceOnTieHeavyCosts) {
+  MazeChecker check(0x3A2E);
+  for (int trial = 0; trial < 300; ++trial) {
+    const GCellGrid g = check.grid();
+    const std::vector<double> cost = check.tie_costs(g, trial % 3 == 0 ? 0.3 : 0.0);
+    auto price = [&](grid::EdgeId e) { return cost[static_cast<std::size_t>(e)]; };
+    // Multi-source sets may repeat a cell and may hold the target.
+    MazeChecker::expect_same_route(g, check.cells(g, 1, 6), check.cell(g), price);
+  }
+}
+
+TEST(Maze, MatchesReferenceOnRefinePrices) {
+  MazeChecker check(0x7E1F);
+  for (int trial = 0; trial < 300; ++trial) {
+    const GCellGrid g = check.grid();
+    const auto [others, cap] = check.demand(g);
+    auto price = [&others, &cap](grid::EdgeId e) {
+      const auto i = static_cast<std::size_t>(e);
+      return refine_price(others[i], 0.0, cap[i]);
+    };
+    const Point s = check.cell(g);
+    MazeChecker::expect_same_route(g, {s}, check.cell(g), price);
+    MazeChecker::expect_same_route(g, {s}, s, price);  // source = target
+    MazeChecker::expect_same_route(g, {s, s, check.cell(g)}, check.cell(g), price);
+  }
+}
+
+TEST(Maze, MatchesReferenceBehindWalls) {
+  // +inf walls: every edge of one column (or row) is walled off, so the
+  // far side is unreachable and both report the same typed status.
+  MazeChecker check(0x9A11);
+  for (int trial = 0; trial < 100; ++trial) {
+    const GCellGrid g = check.grid();
+    std::vector<double> cost = check.tie_costs(g);
+    const bool column = trial % 2 == 0;
+    const geom::Coord at = static_cast<geom::Coord>((column ? g.width() : g.height()) / 2);
+    for (grid::EdgeId e = 0; e < g.edge_count(); ++e) {
+      const auto [a, b] = g.edge_cells(e);
+      if (column ? (a.y == b.y && b.x == at) : (a.x == b.x && b.y == at)) {
+        cost[static_cast<std::size_t>(e)] = std::numeric_limits<double>::infinity();
+      }
+    }
+    auto price = [&](grid::EdgeId e) { return cost[static_cast<std::size_t>(e)]; };
+    MazeChecker::expect_same_route(g, check.cells(g, 1, 3), check.cell(g), price);
+  }
+}
+
+TEST(Maze, ConnectMatchesReferenceWithOnPathHook) {
+  MazeChecker check(0xC0DE);
+  for (int trial = 0; trial < 150; ++trial) {
+    const GCellGrid g = check.grid();
+    const auto [others, cap] = check.demand(g);
+    const std::vector<Point> pins = check.cells(g, 1, 8);
+    // Each side keeps its own usage map, fed by its on-path hook, so the
+    // later legs see the earlier ones exactly as maze_reroute_net does.
+    std::vector<double> ref_mine(others.size(), 0.0);
+    const MazeConnection want = reference::maze_connect(
+        g, pins,
+        [&](grid::EdgeId e) {
+          const auto i = static_cast<std::size_t>(e);
+          return refine_price(others[i], ref_mine[i], cap[i]);
+        },
+        [&](const dag::PatternPath& path) {
+          for (const grid::EdgeId e : path.edges(g)) ref_mine[static_cast<std::size_t>(e)] += 1.0;
+        });
+    EdgeUsage& mine = MazeWorkspace::local().usage();
+    mine.reset(g);
+    const MazeConnection got = maze_connect(
+        g, pins,
+        [&](grid::EdgeId e) {
+          const auto i = static_cast<std::size_t>(e);
+          return refine_price(others[i], mine[e], cap[i]);
+        },
+        [&](const dag::PatternPath& path) { mine.add(g, path); });
+    EXPECT_EQ(got.status.code(), want.status.code());
+    EXPECT_EQ(got.paths, want.paths) << "trial " << trial;
+  }
+}
+
+TEST(Maze, ConnectMatchesReferenceBehindWalls) {
+  MazeChecker check(0xBEEF);
+  for (int trial = 0; trial < 100; ++trial) {
+    const GCellGrid g = check.grid();
+    const std::vector<double> cost = check.tie_costs(g, 0.35);
+    auto price = [&](grid::EdgeId e) { return cost[static_cast<std::size_t>(e)]; };
+    const std::vector<Point> pins = check.cells(g, 1, 5);
+    const MazeConnection want = reference::maze_connect(g, pins, price);
+    const MazeConnection got = maze_connect(g, pins, price);
+    EXPECT_EQ(got.status.code(), want.status.code());
+    EXPECT_EQ(got.status.message(), want.status.message());
+    EXPECT_EQ(got.paths, want.paths) << "trial " << trial;
+  }
+}
+
+TEST(Maze, PerThreadWorkspacesMatchASerialRun) {
+  // Four threads search at once, each on its own workspace, over grids of
+  // different sizes (so each workspace grows while the others search); every
+  // result must equal the serial run of the same seeded searches.
+  constexpr int kThreads = 4;
+  constexpr int kSearches = 200;
+  auto run = [](int thread) {
+    MazeChecker check(0x5EED + static_cast<std::uint64_t>(thread));
+    std::vector<MazeResult> out;
+    for (int i = 0; i < kSearches; ++i) {
+      const GCellGrid g = check.grid();
+      const std::vector<double> cost = check.tie_costs(g, i % 4 == 0 ? 0.2 : 0.0);
+      const std::vector<Point> sources = check.cells(g, 1, 4);
+      out.push_back(maze_route(g, sources, check.cell(g), [&](grid::EdgeId e) {
+        return cost[static_cast<std::size_t>(e)];
+      }));
+    }
+    return out;
+  };
+  std::vector<std::vector<MazeResult>> serial;
+  for (int t = 0; t < kThreads; ++t) serial.push_back(run(t));
+  std::vector<std::vector<MazeResult>> threaded(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { threaded[static_cast<std::size_t>(t)] = run(t); });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < serial.size(); ++t) {
+    for (std::size_t i = 0; i < serial[t].size(); ++i) {
+      const MazeResult& want = serial[t][i];
+      const MazeResult& got = threaded[t][i];
+      EXPECT_EQ(got.found, want.found) << t << "/" << i;
+      EXPECT_EQ(got.status.code(), want.status.code()) << t << "/" << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cost), std::bit_cast<std::uint64_t>(want.cost))
+          << t << "/" << i;
+      EXPECT_EQ(got.cells, want.cells) << t << "/" << i;
+    }
+  }
 }
 
 TEST(CompressCells, MergesCollinearRuns) {

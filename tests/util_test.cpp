@@ -298,6 +298,69 @@ TEST(ParallelFor, NestedSubmissionRunsInlineOnStageThread) {
   }
 }
 
+TEST(InlineScope, JobsSubmittedInsideRunOnTheCallingThread) {
+  set_worker_count(4);
+  constexpr std::size_t n = 20000;
+  std::vector<std::thread::id> ran_on(n);
+  std::vector<int> hits(n, 0);
+  {
+    const InlineScope scope;
+    ParallelRuntime::for_each(
+        0, n,
+        [&](std::size_t i) {
+          ran_on[i] = std::this_thread::get_id();
+          ++hits[i];
+        },
+        /*grain=*/8);
+    ParallelRuntime::for_blocked(
+        0, n,
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+        },
+        /*grain=*/16);
+    ParallelRuntime::fused(stage_blocked(0, n, 32, [&](std::size_t lo, std::size_t hi) {
+                             for (std::size_t i = lo; i < hi; ++i) {
+                               if (ran_on[i] != std::this_thread::get_id()) hits[i] = -100;
+                               ++hits[i];
+                             }
+                           }),
+                           stage_blocked(0, n, 32, [&](std::size_t lo, std::size_t hi) {
+                             for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+                           }));
+  }
+  set_worker_count(0);
+  const std::thread::id me = std::this_thread::get_id();
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[i], 4) << i;
+    ASSERT_EQ(ran_on[i], me) << i;
+  }
+}
+
+TEST(InlineScope, NestsAndRestores) {
+  EXPECT_FALSE(detail::t_run_inline);
+  {
+    const InlineScope off(false);
+    EXPECT_FALSE(detail::t_run_inline);
+  }
+  {
+    const InlineScope outer;
+    EXPECT_TRUE(detail::t_run_inline);
+    {
+      // An inactive scope inside an active one keeps it active.
+      const InlineScope inner(false);
+      EXPECT_TRUE(detail::t_run_inline);
+      const InlineScope innermost;
+      EXPECT_TRUE(detail::t_run_inline);
+    }
+    EXPECT_TRUE(detail::t_run_inline);
+    // The scope is per thread: another thread submits as usual.
+    bool other = true;
+    std::thread([&] { other = detail::t_run_inline; }).join();
+    EXPECT_FALSE(other);
+  }
+  EXPECT_FALSE(detail::t_run_inline);
+}
+
 TEST(ParallelFor, BlockedChunksPartitionRange) {
   std::atomic<std::size_t> total{0};
   ParallelRuntime::for_blocked(10, 1010, [&](std::size_t lo, std::size_t hi) {
